@@ -29,8 +29,6 @@ from .partitions import (
     bipartition_of,
     build_poset,
     cohomology_total_dim,
-    covers_discrepancies,
-    covers_formula,
     dim_enhanced_orbit,
     dim_orbit,
     dominance_leq,

@@ -28,12 +28,24 @@ from .orbits import (
     flag_dims,
 )
 from .partitions import (
+    MAX_HASSE_N,
+    MAX_ORBITS_N,
     build_poset,
     dim_enhanced_orbit,
     enhanced_number,
     enhanced_partitions_of,
     parse_enhanced,
 )
+
+
+def _echo(message="", err=False):
+    """``click.echo`` to the current stdout or stderr.
+
+    Passing the stream explicitly keeps click from caching it: its cache
+    maps each stream to itself in a WeakKeyDictionary, so a redirected
+    stdout (a ``StringIO`` under ``redirect_stdout``) would never be freed.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout)
 
 
 def _guarded(fn):
@@ -44,12 +56,12 @@ def _guarded(fn):
         try:
             return fn(*args, **kwargs)
         except EnorbitsError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(2)
         except click.exceptions.Exit:
             raise
         except Exception as exc:  # internal assertion failure
-            click.echo(f"internal error: {exc}", err=True)
+            _echo(f"internal error: {exc}", err=True)
             sys.exit(1)
 
     return wrapper
@@ -85,9 +97,9 @@ def _print_table(header, rows):
         max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
         for i, h in enumerate(header)
     ]
-    click.echo("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+    _echo("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
     for row in rows:
-        click.echo("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        _echo("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 def _load_element(matrix_path, vector_path) -> EnhancedElement:
@@ -111,15 +123,15 @@ def main():
 @_guarded
 def orbits(n, fmt):
     """List every orbit label of size n with its descriptor."""
-    if n < 1 or n > 12:
-        raise OutOfRange(f"n must be in [1, 12], got {n}")
+    if n < 1 or n > MAX_ORBITS_N:
+        raise OutOfRange(f"n must be in [1, {MAX_ORBITS_N}], got {n}")
     descriptors = [describe(lq) for lq in enhanced_partitions_of(n)]
     if fmt == "records":
         for i, d in enumerate(descriptors):
             if i:
-                click.echo("")
+                _echo()
             for line in d.record_lines():
-                click.echo(line)
+                _echo(line)
     else:
         _print_table(DESCRIPTOR_COLUMNS, [_descriptor_row(d) for d in descriptors])
 
@@ -129,15 +141,15 @@ def orbits(n, fmt):
 @_guarded
 def hasse(n):
     """Hasse diagram of the closure order as a DOT digraph."""
-    if n < 1 or n > 10:
-        raise OutOfRange(f"n must be in [1, 10], got {n}")
+    if n < 1 or n > MAX_HASSE_N:
+        raise OutOfRange(f"n must be in [1, {MAX_HASSE_N}], got {n}")
     poset = build_poset(n)
-    click.echo("digraph hasse {")
+    _echo("digraph hasse {")
     for lq in poset.elements:
-        click.echo(f'  "{lq}" [label="{lq}\\ndim {dim_enhanced_orbit(lq)}"];')
+        _echo(f'  "{lq}" [label="{lq}\\ndim {dim_enhanced_orbit(lq)}"];')
     for up, lo in poset.covers:
-        click.echo(f'  "{up}" -> "{lo}";')
-    click.echo("}")
+        _echo(f'  "{up}" -> "{lo}";')
+    _echo("}")
 
 
 @main.command("classify")
@@ -155,13 +167,13 @@ def classify_cmd(matrix_path, vector_path, check):
     if check:
         other = classify_invariant(e)
         if other != lq:
-            click.echo(
+            _echo(
                 f"internal error: classifiers disagree: {lq} vs {other}",
                 err=True,
             )
             sys.exit(1)
     for line in describe(lq).record_lines():
-        click.echo(line)
+        _echo(line)
 
 
 @main.command("closure-test")
@@ -186,9 +198,9 @@ def closure_test(upper_text, lower_text, matrix_path, vector_path):
     else:
         raise ParseError("give either --lower or both --matrix and --vector")
     result = closure_contains(upper, lower_lq)
-    click.echo(f"upper: {upper}")
-    click.echo(f"lower: {lower_lq}")
-    click.echo(f"contains: {'true' if result else 'false'}")
+    _echo(f"upper: {upper}")
+    _echo(f"lower: {lower_lq}")
+    _echo(f"contains: {'true' if result else 'false'}")
 
 
 @main.command()
@@ -197,9 +209,9 @@ def closure_test(upper_text, lower_text, matrix_path, vector_path):
 def flag(label):
     """Dimension data of the canonical partial flag of an orbit label."""
     lq = parse_enhanced(label)
-    click.echo(f"type: {lq}")
-    click.echo(f"flag_dims: {','.join(map(str, flag_dims(lq)))}")
-    click.echo(f"flag_blocks: {','.join(map(str, flag_blocks(lq)))}")
+    _echo(f"type: {lq}")
+    _echo(f"flag_dims: {','.join(map(str, flag_dims(lq)))}")
+    _echo(f"flag_blocks: {','.join(map(str, flag_blocks(lq)))}")
 
 
 @main.group()
@@ -218,9 +230,9 @@ def gl2_classify(matrix_path, w_text):
     x = load_matrix(matrix_path)
     w = gl2_mod.QuadraticVector.parse(w_text)
     orbit = gl2_mod.classify_gl2(x, w)
-    click.echo(orbit.label)
-    click.echo(f"dim: {orbit.dim}")
-    click.echo(f"centralizer_dim: {orbit.centralizer_dim}")
+    _echo(orbit.label)
+    _echo(f"dim: {orbit.dim}")
+    _echo(f"centralizer_dim: {orbit.centralizer_dim}")
 
 
 @gl2.command("dims")
@@ -240,7 +252,7 @@ def gl2_poset_cmd():
     poset = gl2_mod.gl2_closure_poset()
     for label in gl2_mod.LABELS:
         inside = ",".join(sorted(poset[label]))
-        click.echo(f"{label}: {inside}")
+        _echo(f"{label}: {inside}")
 
 
 @main.command()
@@ -260,7 +272,7 @@ def finiteness(n, weight_text, variety):
         answer = fin_mod.decide_enhanced(spec)
     else:
         answer = fin_mod.decide_gl_variety(spec)
-    click.echo(str(answer))
+    _echo(str(answer))
 
 
 @main.group()
@@ -278,10 +290,10 @@ def oracle():
 def oracle_census(n, p, fmt):
     """Enumerate all orbits over F_p and compare with the classification."""
     report = census_mod.orbit_census(n, p)
-    click.echo(f"{report.orbit_count} orbits")
-    click.echo(f"expected: {report.expected_count}")
-    click.echo(f"count_matches: {'true' if report.count_matches else 'false'}")
-    click.echo(
+    _echo(f"{report.orbit_count} orbits")
+    _echo(f"expected: {report.expected_count}")
+    _echo(f"count_matches: {'true' if report.count_matches else 'false'}")
+    _echo(
         "classification_consistent: "
         f"{'true' if report.classification_consistent else 'false'}"
     )
@@ -296,9 +308,9 @@ def oracle_census(n, p, fmt):
     ]
     header = ("type", "orbit_size", "stabilizer_order", "representative")
     if fmt == "csv":
-        click.echo(",".join(header))
+        _echo(",".join(header))
         for row in rows:
-            click.echo(",".join(row))
+            _echo(",".join(row))
     else:
         _print_table(header, rows)
     if not (report.count_matches and report.classification_consistent):
@@ -326,8 +338,8 @@ def oracle_enhanced_numbers(n, p):
                 if got != enhanced_number(lq, k):
                     agree = False
                 checked += 1
-    click.echo(f"checked: {checked}")
-    click.echo(f"agreement: {'true' if agree else 'false'}")
+    _echo(f"checked: {checked}")
+    _echo(f"agreement: {'true' if agree else 'false'}")
     if not agree:
         sys.exit(1)
 

@@ -52,15 +52,47 @@ class Rationals:
         return 1 / Fraction(a)
 
 
+#: Miller-Rabin with the prime bases 2..41 decides primality exactly below
+#: this bound (Sorenson and Webster, Math. Comp. 86, 2017); larger p are
+#: refused rather than tested.
+PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic primality for 0 <= p < PRIME_BOUND."""
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PrimeField:
-    """The field F_p for a prime p; elements are ints in [0, p)."""
+    """The field F_p for a prime p < PRIME_BOUND; elements are ints in [0, p)."""
 
     p: int
 
     def __post_init__(self):
         p = self.p
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= PRIME_BOUND:
+            raise ValueError(f"p must be below {PRIME_BOUND}, got {p}")
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
 
     @property

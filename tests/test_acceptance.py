@@ -39,7 +39,6 @@ from enorbits.partitions import (
     Partition,
     build_poset,
     cohomology_total_dim,
-    covers_discrepancies,
     dim_enhanced_orbit,
     dim_orbit,
     dominance_leq,
@@ -202,12 +201,7 @@ def test_criterion_6_poset_axioms():
                 up = EnhancedPartition(lam, 0)
                 if poset.is_leq(lo, up) != dominance_leq(lo.lam, lam):
                     ok = False
-    discrepancy_counts = {n: len(covers_discrepancies(n)) for n in range(1, 9)}
-    note = (
-        "axioms exact; covers formula vs reduction discrepancies "
-        f"explicitly reported: {discrepancy_counts}"
-    )
-    report(6, "poset axioms and structure", ok, note)
+    report(6, "poset axioms and structure", ok)
 
 
 def test_criterion_7_gl2_exceptional():

@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -32,6 +36,13 @@ def files(tmp_path):
         "e12": write("e12.json", {"field": "Q", "entries": [[0, 1], [0, 0]]}),
         "identity": write(
             "id.json", {"field": "Q", "entries": [[1, 0], [0, 1]]}
+        ),
+        "huge_p": write(
+            "huge_p.json",
+            {"field": "Fp", "p": 2**89 - 1, "entries": [[0, 1], [0, 0]]},
+        ),
+        "huge_p_vec": write(
+            "huge_p_vec.json", {"field": "Fp", "p": 2**89 - 1, "entries": [[0, 1]]}
         ),
         "badjson": str(tmp_path / "missing.json"),
     }
@@ -140,6 +151,14 @@ class TestClassify:
         )
         assert result.exit_code == 2
         assert "not nilpotent" in result.output
+
+    def test_prime_beyond_bound(self, runner, files):
+        result = runner.invoke(
+            main,
+            ["classify", "--matrix", files["huge_p"], "--vector", files["huge_p_vec"]],
+        )
+        assert result.exit_code == 2
+        assert "must be below" in result.output
 
     def test_missing_file(self, runner, files):
         result = runner.invoke(
@@ -280,3 +299,15 @@ class TestOracle:
             main, ["oracle", "enhanced-numbers", "--n", "2", "--p", "3"]
         )
         assert result.exit_code == 2
+
+
+class TestInProcess:
+    def test_redirected_stdout_is_released(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main.main(["hasse", "--n", "2"], standalone_mode=False)
+        assert buf.getvalue().startswith("digraph hasse {")
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None

@@ -1,6 +1,9 @@
 import json
 import random
+import re
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from enorbits.errors import (
 from enorbits.linalg import (
     ExactMatrix,
     GF,
+    PRIME_BOUND,
     QQ,
     centralizer_basis,
     enhanced_centralizer_dim,
@@ -95,6 +99,34 @@ class TestBasics:
         f5 = GF(5)
         m = ExactMatrix(f5, [[2, 1], [1, 1]])
         assert (m @ m.inverse()) == ExactMatrix.identity(f5, 2)
+
+    def test_primality_is_exact_on_small_p(self):
+        primes = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
+        accepted = []
+        for p in range(-3, 2000):
+            try:
+                GF(p)
+            except ValueError:
+                continue
+            accepted.append(p)
+        assert accepted == primes
+
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        assert GF(2**61 - 1).p == 2**61 - 1
+        assert time.perf_counter() - start < 0.5
+
+    def test_large_composites_rejected(self):
+        # 1073741827 * 2147483629 lies just below 2^61 - 1; the last is a
+        # strong pseudoprime to the twelve prime bases 2..37
+        for p in (2**61 + 1, 1073741827 * 2147483629, 318665857834031151167461):
+            with pytest.raises(ValueError, match="not prime"):
+                GF(p)
+
+    def test_prime_bound(self):
+        assert 2**89 - 1 > PRIME_BOUND
+        with pytest.raises(ValueError, match="below"):
+            GF(2**89 - 1)
 
 
 class TestNilpotency:
@@ -195,6 +227,16 @@ class TestFileFormat:
         again = matrix_from_json(matrix_to_json(m))
         assert again == m
         assert again.field.p == 3
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        objs = [json.loads(line) for b in blocks for line in b.splitlines()]
+        fields = [obj["field"] for obj in objs]
+        assert fields == ["Q", "Q", "Fp"]
+        m = matrix_from_json(objs[2])
+        assert m.field.p == 5
+        assert m == ExactMatrix(GF(5), [[0, 1], [0, 0]])
 
     def test_rational_strings(self):
         m = matrix_from_json({"field": "Q", "entries": [["1/2", 1]]})

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from enorbits.errors import OutOfRange, SizeMismatch
@@ -6,8 +8,6 @@ from enorbits.partitions import (
     MAX_POSET_N,
     Partition,
     build_poset,
-    covers_discrepancies,
-    covers_formula,
     dim_enhanced_orbit,
     dominance_leq,
     enhanced_leq,
@@ -112,34 +112,38 @@ class TestBuildPoset:
                         pytest.fail(f"{lo} < {mid} < {up} not reduced")
 
 
-class TestCoversFormula:
-    def test_minimum_covers_nothing(self):
-        for n in range(1, 7):
-            bot = EnhancedPartition(Partition((1,) * n), n)
-            assert covers_formula(bot) == []
-
-    def test_same_partition_case(self):
-        assert L("2,1[1]") in covers_formula(L("2,1[0]"))
-        assert L("2[1]") in covers_formula(L("2[0]"))
-
-    def test_output_strictly_below(self):
-        for n in range(1, 9):
-            for up in enhanced_partitions_of(n):
-                for cand in covers_formula(up):
-                    assert cand != up
-                    assert enhanced_leq(cand, up)
-
-    def test_discrepancies_reported_not_hidden(self):
-        # The explicit case analysis does not reproduce the transitive
-        # reduction in general; the comparison utility must surface every
-        # element where the two disagree, and agree exactly elsewhere.
-        for n in range(1, 9):
+class TestBitmaskPoset:
+    def test_is_leq_is_the_definition(self):
+        for n in range(1, 10):
             poset = build_poset(n)
-            flagged = {up for up, _, _ in covers_discrepancies(n)}
-            for up in poset.elements:
-                match = set(covers_formula(up)) == set(poset.covered_by(up))
-                assert (up not in flagged) == match
+            for lo in poset.elements:
+                for up in poset.elements:
+                    assert poset.is_leq(lo, up) == enhanced_leq(lo, up)
 
-    def test_small_cases_agree(self):
-        assert covers_discrepancies(1) == []
-        assert covers_discrepancies(2) == []
+    def test_covers_match_cubic_reduction(self):
+        # the direct transitive reduction, kept here as an oracle
+        for n in range(1, 10):
+            elems = enhanced_partitions_of(n)
+            leq = {(a, b): enhanced_leq(a, b) for a in elems for b in elems}
+            expected = [
+                (up, lo)
+                for up in elems
+                for lo in elems
+                if lo != up
+                and leq[(lo, up)]
+                and not any(
+                    mid != up and mid != lo and leq[(lo, mid)] and leq[(mid, up)]
+                    for mid in elems
+                )
+            ]
+            assert list(build_poset(n).covers) == expected
+
+    def test_largest_n_is_fast(self):
+        start = time.perf_counter()
+        poset = build_poset(MAX_POSET_N)
+        elapsed = time.perf_counter() - start
+        assert MAX_POSET_N == 16
+        assert len(poset.elements) == 915
+        for up, lo in poset.covers:
+            assert dim_enhanced_orbit(lo) < dim_enhanced_orbit(up)
+        assert elapsed < 1.0, f"build_poset(16) took {elapsed:.2f} s"
