@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import OutOfRange
 from .linalg import GF, ExactMatrix, rank_of_vectors, jordan_basis
-from .orbits import EnhancedElement
+from .orbits import EnhancedElement, marker_rule
 from .partitions import EnhancedPartition, enhanced_partitions_of
 
 PACK_VERSION = 1
@@ -199,33 +199,10 @@ class CensusReport:
 
 def _classify_all_vectors(x, n, p):
     """Orbit label for (x, w) for every w over F_p, sharing one Jordan basis."""
-    field = GF(p)
-    xm = ExactMatrix(field, x)
-    jd = jordan_basis(xm)
-    lam = jd.lam
+    jd = jordan_basis(ExactMatrix(GF(p), x))
     ginv = jd.change_of_basis.inverse()
-    gen_rows = []
-    pos = 0
-    for a in lam.parts:
-        gen_rows.append(pos + a - 1)
-        pos += a
-    group_bounds = []
-    acc = 0
-    for _, d in lam.groups:
-        group_bounds.append((acc, d))
-        acc += d
-    t = lam.num_parts
-    out = {}
-    for w in itertools.product(range(p), repeat=n):
-        coords = ginv.apply(w)
-        residues = [coords[c] for c in gen_rows]
-        q = t
-        for start, d in group_bounds:
-            if any(residues[start + i] for i in range(d)):
-                q = start
-                break
-        out[w] = EnhancedPartition(lam, q)
-    return out
+    label = marker_rule(jd.lam)
+    return {w: label(ginv.apply(w)) for w in itertools.product(range(p), repeat=n)}
 
 
 def orbit_census(n: int, p: int) -> CensusReport:

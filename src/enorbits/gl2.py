@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import CharNotZero, NotInvertible, NotNilpotent, NotSquare, ParseError
-from .linalg import ExactMatrix, QQ, is_nilpotent, kernel_basis, rank, rank_of_vectors
+from .linalg import ExactMatrix, QQ, is_nilpotent, parse_rational, rank, rank_of_vectors
 
 LABELS = ("O1", "O2", "O3", "O4", "O5")
 
@@ -44,10 +44,7 @@ class QuadraticVector:
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 3:
             raise ParseError(f"need three rationals c0,c1,c2, got {text!r}")
-        try:
-            return QuadraticVector(*(Fraction(p) for p in parts))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational in {text!r}") from exc
+        return QuadraticVector(*(parse_rational(p) for p in parts))
 
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.c0, self.c1, self.c2)

@@ -1,8 +1,16 @@
 """Exact linear algebra over Q and over prime fields.
 
 Matrices are immutable, dense and tiny (n <= 12 in practice); entries are
-``fractions.Fraction`` over Q and plain ints in [0, p) over F_p.  All
-elimination is exact; there is no floating point anywhere.
+``fractions.Fraction`` over Q and plain ints in [0, p) over F_p.  There is
+no floating point anywhere.
+
+All arithmetic runs in one kernel on Python ints, reduced mod p over F_p
+and not at all over Q (p = 0).  Rational operands are scaled to ints by a
+common denominator.  Elimination (``_echelon``) is fraction-free over Q,
+as in Bareiss (Math. Comp. 22, 1968): ``row_i <- (a/g) row_i - (b/g)
+row_r`` for the pivot a and g = gcd(a, b), divided by the row's content.
+A Fraction is built only for an entry a function returns.  The powers of
+X = X_int / d share their ranks and kernels with those of X_int.
 
 The classification theory is stated over an algebraically closed field,
 but Jordan forms and the orbit reductions used here are rational over the
@@ -12,8 +20,11 @@ prime field, so exact computation over Q or F_p is faithful.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import NotInvertible, NotNilpotent, NotSquare, ParseError, SizeMismatch
 from .partitions import Partition
@@ -21,35 +32,19 @@ from .partitions import Partition
 
 @dataclass(frozen=True)
 class Rationals:
-    """The field Q with Fraction arithmetic."""
+    """The field Q; elements are Fractions."""
 
     tag = "Q"
+    p = 0  # the modulus of the integer kernel; 0 means none
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def zero(self):
         return Fraction(0)
 
     def one(self):
         return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
 
 
 #: Miller-Rabin with the prime bases 2..41 decides primality exactly below
@@ -108,29 +103,96 @@ class PrimeField:
     def one(self):
         return 1
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
 
 QQ = Rationals()
 
 
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
+
+
+# --- the integer kernel -----------------------------------------------
+
+
+def _ints(field, rows):
+    """(ints, d) with rows = ints / d: over Q for one common denominator d,
+    over F_p for d = 1, the rows as they are (entries in [0, p))."""
+    if field.p:
+        return list(rows), 1
+    d = lcm(*(e.denominator for row in rows for e in row))
+    return [[e.numerator * (d // e.denominator) for e in row] for row in rows], d
+
+
+def _quotient(num, den, p):
+    """num / den as a field element; over F_p, den is 1 (a scaled pivot)."""
+    return num % p if p else Fraction(num, den)
+
+
+def _imul(a, b, p):
+    """Product of two integer matrices, reduced mod p when p."""
+    bt = list(zip(*b))
+    if p:
+        return [[sum(map(mul, row, col)) % p for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def _ipow(a, k, p):
+    out = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    for _ in range(k):
+        out = _imul(out, a, p)
+    return out
+
+
+def _echelon(rows, p):
+    """Reduce integer rows in place; returns the pivot columns.
+
+    Over F_p (p > 0) the entries are ints mod p and every pivot is scaled
+    to 1, giving the reduced row echelon form.  Over Q (p = 0) elimination
+    is fraction-free, and row r ends as its pivot entry times row r of the
+    reduced row echelon form.
+    """
+    pivots = []
+    nrows = len(rows)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        a = top[c]
+        if p:
+            inv = pow(a, p - 2, p)
+            top = rows[r] = [e * inv % p for e in top]
+        for i in range(nrows):
+            b = rows[i][c]
+            if not b or i == r:
+                continue
+            if p:
+                rows[i] = [(e - b * t) % p for e, t in zip(rows[i], top)]
+            else:
+                g = gcd(a, b)
+                s, t = a // g, b // g
+                row = [s * e - t * u for e, u in zip(rows[i], top)]
+                k = gcd(*row)
+                rows[i] = [e // k for e in row] if k > 1 else row
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _kernel(rows, pivots, ncols, p):
+    """Kernel basis read off reduced rows, one vector per free column."""
+    zero, one = _quotient(0, 1, p), _quotient(1, 1, p)
+    basis = []
+    for fc in sorted(set(range(ncols)).difference(pivots)):
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = _quotient(-row[fc], row[pc], p)
+        basis.append(tuple(v))
+    return basis
 
 
 class ExactMatrix:
@@ -188,8 +250,7 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(e == z for row in self.entries for e in row)
+        return not any(map(any, self.entries))
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
@@ -198,139 +259,69 @@ class ExactMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def __add__(self, other):
-        f = self.field
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise SizeMismatch("matrix shapes differ")
-        return ExactMatrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        pairs = zip(self.entries, other.entries)
+        return ExactMatrix(self.field, [[a + b for a, b in zip(ra, rb)] for ra, rb in pairs])
 
     def __sub__(self, other):
-        f = self.field
-        return self + ExactMatrix(
-            f, [[f.neg(e) for e in row] for row in other.entries]
-        )
+        return self + ExactMatrix(self.field, [[-e for e in row] for row in other.entries])
 
     def __matmul__(self, other):
-        f = self.field
         if self.cols != other.rows:
             raise SizeMismatch("inner dimensions differ")
-        bt = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append(
-                [
-                    _dot(f, row, col)
-                    for col in bt
-                ]
-            )
-        return ExactMatrix(f, out)
+        f = self.field
+        a, da = _ints(f, self.entries)
+        b, db = _ints(f, other.entries)
+        d, p = da * db, f.p
+        return ExactMatrix(f, [[_quotient(e, d, p) for e in row] for row in _imul(a, b, p)])
 
     def apply(self, vec):
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise SizeMismatch("vector length differs from column count")
         f = self.field
-        v = tuple(f.coerce(x) for x in vec)
-        return tuple(_dot(f, row, v) for row in self.entries)
+        a, da = _ints(f, self.entries)
+        (v,), dv = _ints(f, [[f.coerce(x) for x in vec]])
+        d, p = da * dv, f.p
+        return tuple(_quotient(sum(map(mul, row, v)), d, p) for row in a)
 
     def power(self, k):
         if not self.is_square():
             raise NotSquare("power of a non-square matrix")
-        out = ExactMatrix.identity(self.field, self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return out
+        f = self.field
+        a, d = _ints(f, self.entries)
+        d, p = d**k, f.p
+        return ExactMatrix(f, [[_quotient(e, d, p) for e in row] for row in _ipow(a, k, p)])
 
     def inverse(self):
         if not self.is_square():
             raise NotSquare("inverse of a non-square matrix")
-        n = self.rows
-        f = self.field
-        aug = [
-            list(self.entries[i]) + list(ExactMatrix.identity(f, n).entries[i])
-            for i in range(n)
-        ]
-        pivots = _eliminate(f, aug)
-        # pivots may spill into the augmented block when the left block is
-        # singular, so count only pivots landing in the original columns
-        if sum(1 for c in pivots if c < n) < n:
+        n, f = self.rows, self.field
+        eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        aug, _ = _ints(f, [row + e for row, e in zip(self.entries, eye)])
+        # a singular left block leaves a pivot column >= n among the first n
+        if _echelon(aug, f.p)[:n] != list(range(n)):
             raise NotInvertible("matrix is singular")
-        return ExactMatrix(f, [row[n:] for row in aug])
-
-
-def _dot(f, xs, ys):
-    acc = f.zero()
-    for x, y in zip(xs, ys):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
-
-
-def _eliminate(f, rows):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows) or len(pivots) == len(rows):
-            break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != f.zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, e) for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != f.zero():
-                factor = rows[i][c]
-                rows[i] = [
-                    f.sub(e, f.mul(factor, rows[r][j]))
-                    for j, e in enumerate(rows[i])
-                ]
-        pivots.append(c)
-        r += 1
-    return pivots
+        inverse = [[_quotient(e, row[i], f.p) for e in row[n:]] for i, row in enumerate(aug)]
+        return ExactMatrix(f, inverse)
 
 
 def rank(m: ExactMatrix) -> int:
-    rows = [list(r) for r in m.entries]
-    return len(_eliminate(m.field, rows))
+    return len(_echelon(_ints(m.field, m.entries)[0], m.field.p))
 
 
 def rank_of_vectors(field, vectors) -> int:
     """Rank of a list of equal-length vectors (empty list has rank 0)."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    rows = [list(v) for v in vectors]
-    return len(_eliminate(field, rows))
+    p = field.p  # the vectors come from callers, so reduce them mod p
+    rows, _ = _ints(field, [[e % p for e in v] for v in vectors] if p else list(vectors))
+    return len(_echelon(rows, p))
 
 
 def kernel_basis(m: ExactMatrix) -> list[tuple]:
     """Basis of the right kernel, one vector per free column."""
-    f = m.field
-    rows = [list(r) for r in m.entries]
-    pivots = _eliminate(f, rows)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(rows[r][fc])
-        basis.append(tuple(v))
-    return basis
+    rows, _ = _ints(m.field, m.entries)
+    return _kernel(rows, _echelon(rows, m.field.p), m.cols, m.field.p)
 
 
 def solve(m: ExactMatrix, rhs) -> tuple | None:
@@ -339,20 +330,21 @@ def solve(m: ExactMatrix, rhs) -> tuple | None:
     b = [f.coerce(x) for x in rhs]
     if len(b) != m.rows:
         raise SizeMismatch("right-hand side length differs from row count")
-    aug = [list(r) + [b[i]] for i, r in enumerate(m.entries)]
-    pivots = _eliminate(f, aug)
+    aug, _ = _ints(f, [r + (bi,) for r, bi in zip(m.entries, b)])
+    pivots = _echelon(aug, f.p)
     if m.cols in pivots:
         return None
     x = [f.zero()] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][m.cols]
+    for row, pc in zip(aug, pivots):
+        x[pc] = _quotient(row[m.cols], row[pc], f.p)
     return tuple(x)
 
 
 def is_nilpotent(x: ExactMatrix) -> bool:
     if not x.is_square():
         raise NotSquare("nilpotency is defined for square matrices")
-    return x.power(x.rows).is_zero()
+    a, _ = _ints(x.field, x.entries)
+    return not any(map(any, _ipow(a, x.rows, x.field.p)))
 
 
 def jordan_matrix(field, lam: Partition) -> ExactMatrix:
@@ -367,20 +359,33 @@ def jordan_matrix(field, lam: Partition) -> ExactMatrix:
     return ExactMatrix(field, m)
 
 
+def _powers(x: ExactMatrix):
+    """The Jordan type of x, from the ranks of its powers, and the reduced
+    rows and pivots of x, x^2, ... up to the last nonzero power; all on the
+    integer matrix of x.  Raises NotNilpotent."""
+    if not x.is_square():
+        raise NotSquare("nilpotency is defined for square matrices")
+    p = x.field.p
+    a, _ = _ints(x.field, x.entries)
+    echelons, power, ranks = [], a, [x.rows]
+    while True:
+        rows = list(power)
+        pivots = _echelon(rows, p)
+        if not pivots:
+            break
+        # rank(x^k) = rank(x^(k-1)) > 0 stays so for every higher power
+        if len(pivots) == ranks[-1]:
+            raise NotNilpotent("matrix is not nilpotent")
+        echelons.append((rows, pivots))
+        ranks.append(len(pivots))
+        power = _imul(power, a, p)
+    ranks.append(0)
+    return Partition(tuple(r - s for r, s in zip(ranks, ranks[1:]))).transpose(), echelons
+
+
 def jordan_type(x: ExactMatrix) -> Partition:
-    """Jordan block sizes of a nilpotent matrix, from kernel dimensions."""
-    if not is_nilpotent(x):
-        raise NotNilpotent("matrix is not nilpotent")
-    n = x.rows
-    ranks = [n]
-    power = ExactMatrix.identity(x.field, n)
-    while ranks[-1] > 0:
-        power = power @ x
-        ranks.append(rank(power))
-    transpose_parts = tuple(
-        ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)
-    )
-    return Partition(transpose_parts).transpose()
+    """Jordan block sizes of a nilpotent matrix, from the ranks of its powers."""
+    return _powers(x)[0]
 
 
 @dataclass(frozen=True)
@@ -398,29 +403,24 @@ class JordanData:
 
 def jordan_basis(x: ExactMatrix) -> JordanData:
     """Choose block generators from the kernel filtration, largest first."""
-    lam = jordan_type(x)  # raises NotNilpotent
+    lam, echelons = _powers(x)  # raises NotNilpotent
     f = x.field
     n = x.rows
-    m = lam.part(1) if lam.parts else 0
+    m = len(echelons) + 1  # x^m = 0
     # kernel filtration bases: kernels[k] spans ker x^k
-    kernels = [[]]
-    power = ExactMatrix.identity(f, n)
-    for _ in range(m):
-        power = power @ x
-        kernels.append(kernel_basis(power))
+    kernels = [[]] + [_kernel(rows, piv, n, f.p) for rows, piv in echelons + [([], [])]]
 
     chains: list[list[tuple]] = []  # chains[i] = [v, x v, ..., x^(a-1) v]
 
     for size in range(m, 0, -1):
         # span that new size-`size` generators must avoid: ker x^(size-1)
         # plus the depth-appropriate images of already-chosen generators
-        avoid = list(kernels[size - 1])
+        pool = list(kernels[size - 1])
         for chain in chains:
             depth = len(chain) - size
             if depth >= 0:
-                avoid.append(chain[depth])
-        pool = list(avoid)
-        current = rank_of_vectors(f, avoid)
+                pool.append(chain[depth])
+        current = rank_of_vectors(f, pool)
         for cand in kernels[size]:
             if rank_of_vectors(f, pool + [cand]) > current:
                 pool.append(cand)
@@ -432,10 +432,7 @@ def jordan_basis(x: ExactMatrix) -> JordanData:
 
     chains.sort(key=len, reverse=True)
     generators = tuple(chain[0] for chain in chains)
-    columns = []
-    for chain in chains:
-        columns.extend(reversed(chain))
-    g = ExactMatrix.from_columns(f, columns)
+    g = ExactMatrix.from_columns(f, [v for chain in chains for v in reversed(chain)])
     return JordanData(lam, generators, g)
 
 
@@ -445,22 +442,21 @@ def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
         raise NotSquare("centralizer of a non-square matrix")
     n = x.rows
     f = x.field
-    # commutator (XY - YX)_{ij} as a linear map on the n^2 entries of Y
+    a, _ = _ints(f, x.entries)
+    # (XY - YX)_ij as a linear form in the entries of Y, times X's denominator
     rows = []
     for i in range(n):
         for j in range(n):
-            row = [f.zero()] * (n * n)
+            row = [0] * (n * n)
             for k in range(n):
-                row[k * n + j] = f.add(row[k * n + j], x.entries[i][k])
+                row[k * n + j] += a[i][k]
             for l in range(n):
-                row[i * n + l] = f.sub(row[i * n + l], x.entries[l][j])
-            rows.append(row)
-    basis = []
-    for v in kernel_basis(ExactMatrix(f, rows)):
-        basis.append(
-            ExactMatrix(f, [[v[i * n + j] for j in range(n)] for i in range(n)])
-        )
-    return basis
+                row[i * n + l] -= a[l][j]
+            rows.append([e % f.p for e in row] if f.p else row)
+    return [
+        ExactMatrix(f, [v[i * n:(i + 1) * n] for i in range(n)])
+        for v in _kernel(rows, _echelon(rows, f.p), n * n, f.p)
+    ]
 
 
 def enhanced_centralizer_dim(x: ExactMatrix, w) -> int:
@@ -471,19 +467,25 @@ def enhanced_centralizer_dim(x: ExactMatrix, w) -> int:
     """
     if not is_nilpotent(x):
         raise NotNilpotent("matrix is not nilpotent")
-    n = x.rows
-    if len(w) != n:
+    if len(w) != x.rows:
         raise SizeMismatch("vector length differs from matrix size")
-    f = x.field
-    cent = centralizer_basis(x)
-    wv = tuple(f.coerce(c) for c in w)
-    cols = [c.apply(wv) for c in cent]
-    cols += [tuple(f.neg(e) for e in x.column(j)) for j in range(n)]
-    system = ExactMatrix.from_columns(f, cols)
-    return len(cols) - rank(system)
+    cols = [c.apply(w) for c in centralizer_basis(x)] + x.columns()
+    return len(cols) - rank_of_vectors(x.field, cols)
 
 
 # --- file format ------------------------------------------------------
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text) -> Fraction:
+    """An integer or a fraction ``a/b``; anything else, decimals and
+    exponents included, raises ParseError, in time linear in the text."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {text!r}") from exc
 
 
 def matrix_to_json(m: ExactMatrix) -> dict:
@@ -507,10 +509,7 @@ def matrix_from_json(obj) -> ExactMatrix:
 
         def conv(e):
             if isinstance(e, str):
-                try:
-                    return Fraction(e)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad rational entry {e!r}") from exc
+                return parse_rational(e)
             if isinstance(e, bool) or not isinstance(e, int):
                 raise ParseError(f"bad rational entry {e!r}")
             return Fraction(e)
@@ -546,7 +545,7 @@ def load_matrix(path) -> ExactMatrix:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: also ints over 4300 digits
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     return matrix_from_json(obj)
 

@@ -59,37 +59,43 @@ class EnhancedElement:
         return self.x.rows
 
 
+def marker_rule(lam: Partition):
+    """The label of (X, w) as a function of w's coordinates in a Jordan basis.
+
+    The basis is that of ``jordan_basis`` for an X of type ``lam``: per
+    block, columns x^(a-1) v, ..., x v, v.  The coordinates on the
+    generator columns v are the residue coordinates of w modulo im X.  The
+    marker is the multiplicity prefix sum of the first group of equal
+    block sizes that carries a nonzero residue coordinate; if w lies in
+    im X the marker is the number of parts.
+    """
+    groups = []  # (marker, generator columns of the group's blocks)
+    block = col = 0
+    for b, d in lam.groups:
+        gen_cols = [col + b * (i + 1) - 1 for i in range(d)]
+        groups.append((EnhancedPartition(lam, block), gen_cols))
+        block, col = block + d, col + b * d
+    inside = EnhancedPartition(lam, lam.num_parts)
+
+    def label(coords) -> EnhancedPartition:
+        for lq, gen_cols in groups:
+            if any(coords[c] for c in gen_cols):
+                return lq
+        return inside
+
+    return label
+
+
 def classify(e: EnhancedElement) -> EnhancedPartition:
     """Orbit label via a Jordan basis and residue coordinates of w.
 
-    The coordinates of w on the generator residues modulo im X are found
-    by solving one exact linear system against the full Jordan basis.
-    The marker is the multiplicity prefix sum of the first group of block
-    sizes that carries a nonzero residue coordinate; if w lies in im X the
-    marker is the number of parts.
+    The coordinates of w in the Jordan basis are found by solving one
+    exact linear system; ``marker_rule`` reads the label off them.
     """
     jd = jordan_basis(e.x)
-    lam = jd.lam
-    f = e.x.field
-    t = lam.num_parts
-    # Jordan basis columns: for chain i, [x^(a_i-1)v_i, ..., x v_i, v_i].
-    # Coordinates on the generator columns are the residue coordinates.
     coords = solve(jd.change_of_basis, e.w)
     assert coords is not None  # the Jordan basis is a basis
-    gen_cols = []
-    pos = 0
-    for a in lam.parts:
-        gen_cols.append(pos + a - 1)
-        pos += a
-    residues = [coords[c] for c in gen_cols]
-    q = t
-    acc = 0
-    for b, d in lam.groups:
-        if any(residues[acc + i] != f.zero() for i in range(d)):
-            q = acc
-            break
-        acc += d
-    return EnhancedPartition(lam, q)
+    return marker_rule(jd.lam)(coords)
 
 
 def classify_invariant(e: EnhancedElement) -> EnhancedPartition:

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import time
 import weakref
 
 import pytest
@@ -167,6 +168,28 @@ class TestClassify:
         )
         assert result.exit_code == 2
 
+    def test_exponent_entry_exits_fast(self, runner, files, tmp_path):
+        # Fraction("1e10000000") would build a ten-million-digit integer
+        vec = tmp_path / "exp.json"
+        vec.write_text(json.dumps({"field": "Q", "entries": [[0, "1e10000000"]]}))
+        start = time.perf_counter()
+        result = runner.invoke(
+            main, ["classify", "--matrix", files["e12"], "--vector", str(vec)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert "bad rational" in result.output
+
+    def test_oversized_integer_exits_2(self, runner, files, tmp_path):
+        # beyond Python's 4300-digit limit for int/str conversion
+        vec = tmp_path / "big.json"
+        vec.write_text('{"field": "Q", "entries": [[0, ' + "7" * 4400 + "]]}")
+        result = runner.invoke(
+            main, ["classify", "--matrix", files["e12"], "--vector", str(vec)]
+        )
+        assert result.exit_code == 2
+        assert "cannot read matrix file" in result.output
+
 
 class TestClosureAndFlag:
     def test_label_pair(self, runner):
@@ -229,6 +252,15 @@ class TestGl2:
             main, ["gl2", "classify", "--matrix", files["e12"], "--w", "1,2"]
         )
         assert result.exit_code == 2
+
+    def test_exponent_vector_exits_fast(self, runner, files):
+        start = time.perf_counter()
+        result = runner.invoke(
+            main, ["gl2", "classify", "--matrix", files["e12"], "--w", "1e10000000,0,0"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert "bad rational" in result.output
 
 
 class TestFiniteness:

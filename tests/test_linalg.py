@@ -28,6 +28,7 @@ from enorbits.linalg import (
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
+    parse_rational,
     rank,
     rank_of_vectors,
     solve,
@@ -61,6 +62,10 @@ class TestBasics:
     def test_rank_of_vectors(self):
         assert rank_of_vectors(QQ, []) == 0
         assert rank_of_vectors(QQ, [(1, 0), (0, 1), (1, 1)]) == 2
+
+    def test_rank_of_vectors_reads_ints_mod_p(self):
+        assert rank_of_vectors(GF(2), [(2, 0), (0, 2)]) == 0
+        assert rank_of_vectors(GF(3), [(4, 1), (1, 1)]) == 1
 
     def test_kernel(self):
         assert kernel_basis(ExactMatrix.identity(QQ, 2)) == []
@@ -241,6 +246,17 @@ class TestFileFormat:
     def test_rational_strings(self):
         m = matrix_from_json({"field": "Q", "entries": [["1/2", 1]]})
         assert m.entries[0][0] == Fraction(1, 2)
+
+    def test_parse_rational(self):
+        good = {"3": 3, "-7": -7, "+4": 4, "0/5": 0, "6/4": Fraction(3, 2), "-1/3": Fraction(-1, 3)}
+        for text, value in good.items():
+            assert parse_rational(text) == value
+        # decimals, exponents, spaces, non-ASCII digits and zero denominators
+        bad = ["", "1.5", "1e3", "1e10000000", " 1", "1 ", "1/-2", "1/0", "/2", "1/",
+               "\u0661", "inf", "nan", "7" * 4400, 3]
+        for text in bad:
+            with pytest.raises(ParseError):
+                parse_rational(text)
 
     def test_bad_inputs(self):
         bad = [
