@@ -9,7 +9,26 @@ a disagreement is reported in the result, never papered over.
 Packing format (version 1): a state is the integer
 ``matrix_key * p**n + vector_key`` where ``matrix_key`` reads the matrix
 row-major as base-p digits (entry (i, j) has weight p**(i*n + j)) and
-``vector_key`` reads the vector the same way.
+``vector_key`` reads the vector the same way (coordinate i has weight
+p**i).
+
+The census works on these keys as plain ints.  Vectors are their keys,
+with addition, negation and scalar tables on keys.  A matrix is its
+columns as vector keys plus its action table (the key of X v for every
+key v).  Every one of the p**(n*n) matrices is tested for nilpotency on
+its columns: the trace must vanish, then X^n e_j = 0 for every j.  The
+nilpotents are numbered in matrix-key order, so the state (X_i, v) has
+index ``i * p**n + v`` and the smallest index of an orbit is its smallest
+packed key.  Each group generator acts on vector keys through one table,
+and on the nilpotents through one conjugate index each, so a union-find
+step is a few list lookups on a flat parent array.  Enumeration and
+union-find use no ``linalg``; the labels they are checked against come
+from one ``jordan_basis`` per nilpotent and ``orbits.marker_rule``.
+
+``enhanced_number_oracle`` searches over F_2 with vectors as bitmasks: the
+Krylov block of every vector is built once, and the rank of a seed tuple
+is the size of an XOR basis extended block by block down a depth-first
+search.  The maximum is confirmed by ``rank_of_vectors``.
 
 Feasibility bounds are hard errors: n <= 4 with p = 2, n <= 3 with p = 3.
 """
@@ -52,23 +71,8 @@ def gl_order(n: int, p: int) -> int:
 # --- tiny mod-p matrix helpers on tuples ------------------------------
 
 
-def _matmul(a, b, p, n):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-        for row in a
-    )
-
-
 def _matvec(a, v, p):
     return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
-
-
-def _mat_pow_zero(a, p, n):
-    acc = a
-    for _ in range(n - 1):
-        acc = _matmul(acc, a, p, n)
-    return all(e == 0 for row in acc for e in row)
 
 
 def _inv_mod(a, p, n):
@@ -117,13 +121,68 @@ def unpack_state(key: int, p: int, n: int):
     return x, tuple(w)
 
 
+# --- vectors and matrices as keys ---------------------------------------
+
+
+@dataclass(frozen=True)
+class _Keys:
+    """The p**n vectors over F_p, indexed by vector key, with arithmetic."""
+
+    vectors: list  # key -> coordinate tuple
+    key: dict      # coordinate tuple -> key
+    add: list      # add[a][b] = key of a + b
+    neg: list      # neg[a] = key of -a
+    mul: list      # mul[c][a] = key of c * a
+
+
+def _keys(n: int, p: int) -> _Keys:
+    # product varies its last entry fastest, so reversed tuples count up
+    # with coordinate 0 as the lowest digit
+    vectors = [t[::-1] for t in itertools.product(range(p), repeat=n)]
+    key = {v: k for k, v in enumerate(vectors)}
+    add = [[key[tuple((s + t) % p for s, t in zip(a, b))] for b in vectors]
+           for a in vectors]
+    mul = [[key[tuple(c * s % p for s in a)] for a in vectors] for c in range(p)]
+    return _Keys(vectors, key, add, mul[p - 1], mul)
+
+
+def _action(cols, keys: _Keys):
+    """Key of X v for every vector key v, where X has the given columns."""
+    add, mul = keys.add, keys.mul
+    table = [0]
+    for c in cols:
+        # keys d * p**j + a for the digit d of coordinate j, in key order
+        table = [add[t][m[c]] for m in mul for t in table]
+    return table
+
+
+def _nilpotent_actions(n: int, p: int, keys: _Keys):
+    """(columns, action table) of every nilpotent n x n matrix over F_p."""
+    diagonal = [[v[j] for v in keys.vectors] for j in range(n)]
+    for cols in itertools.product(range(p ** n), repeat=n):
+        # the trace of a nilpotent matrix vanishes
+        if sum(d[c] for d, c in zip(diagonal, cols)) % p:
+            continue
+        table = _action(cols, keys)
+        for c in cols:  # X^n e_j = X^(n-1) col_j
+            for _ in range(n - 1):
+                c = table[c]
+            if c:
+                break
+        else:
+            yield cols, table
+
+
+def _matrix(cols, keys: _Keys):
+    return tuple(zip(*(keys.vectors[c] for c in cols)))
+
+
 def enumerate_nilpotents(n: int, p: int):
     """Yield every nilpotent n x n matrix over F_p exactly once."""
     _check_bounds(n, p)
-    for digits in itertools.product(range(p), repeat=n * n):
-        x = tuple(tuple(digits[i * n + j] for j in range(n)) for i in range(n))
-        if _mat_pow_zero(x, p, n):
-            yield x
+    keys = _keys(n, p)
+    for cols, _ in _nilpotent_actions(n, p, keys):
+        yield _matrix(cols, keys)
 
 
 def _group_generators(n: int, p: int):
@@ -157,25 +216,6 @@ def _primitive_root(p: int) -> int:
     raise OutOfRange(f"{p} is not prime")
 
 
-class _DisjointSet:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, a):
-        parent = self.parent
-        root = a
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(a, a) != a:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 @dataclass(frozen=True)
 class CensusOrbit:
     type: EnhancedPartition
@@ -197,12 +237,13 @@ class CensusReport:
     seconds: float
 
 
-def _classify_all_vectors(x, n, p):
-    """Orbit label for (x, w) for every w over F_p, sharing one Jordan basis."""
+def _labels(x, p, keys: _Keys):
+    """Orbit label of (x, w) for every vector key w, from one Jordan basis."""
     jd = jordan_basis(ExactMatrix(GF(p), x))
     ginv = jd.change_of_basis.inverse()
-    label = marker_rule(jd.lam)
-    return {w: label(ginv.apply(w)) for w in itertools.product(range(p), repeat=n)}
+    # the coordinates of w in the Jordan basis are ginv w
+    table = _action([keys.key[col] for col in zip(*ginv.entries)], keys)
+    return map(marker_rule(jd.lam), map(keys.vectors.__getitem__, table))
 
 
 def orbit_census(n: int, p: int) -> CensusReport:
@@ -210,50 +251,71 @@ def orbit_census(n: int, p: int) -> CensusReport:
     _check_bounds(n, p)
     start = time.perf_counter()
     pn = p ** n
-    nilpotents = list(enumerate_nilpotents(n, p))
-    vectors = list(itertools.product(range(p), repeat=n))
-    gens = _group_generators(n, p)
-    # rho(g) w tables are independent of the matrix component
-    gw_table = [
-        {w: _matvec(g, w, p) for w in vectors} for g, _ in gens
-    ]
-    dsu = _DisjointSet()
-    for x in nilpotents:
-        conj = [
-            _matmul(_matmul(g, x, p, n), ginv, p, n) for g, ginv in gens
-        ]
-        cols = [tuple(row[j] for row in x) for j in range(n)]
-        for w in vectors:
-            key = pack_state(x, w, p, n)
-            for gi, xg in enumerate(conj):
-                dsu.union(key, pack_state(xg, gw_table[gi][w], p, n))
-            for col in cols:
-                shifted = tuple((a - b) % p for a, b in zip(w, col))
-                dsu.union(key, pack_state(x, shifted, p, n))
+    keys = _keys(n, p)
+    zero = (0,) * n
+    nilpotents = []  # (matrix key * p**n, matrix, columns, action table)
+    for cols, table in _nilpotent_actions(n, p, keys):
+        x = _matrix(cols, keys)
+        nilpotents.append((pack_state(x, zero, p, n), x, cols, table))
+    nilpotents.sort()
+    index = {cols: i for i, (_, _, cols, _) in enumerate(nilpotents)}
 
-    members: dict[int, list[int]] = {}
-    for x in nilpotents:
-        for w in vectors:
-            key = pack_state(x, w, p, n)
-            members.setdefault(dsu.find(key), []).append(key)
+    # g X g^-1 has columns g X (g^-1 e_k): one action lookup, one g lookup
+    moves = []  # per generator: (image of each vector key, conjugate indices)
+    for g, ginv in _group_generators(n, p):
+        gw = [keys.key[_matvec(g, v, p)] for v in keys.vectors]
+        inv_cols = [keys.key[col] for col in zip(*ginv)]
+        conj = [index[tuple(gw[table[u]] for u in inv_cols)]
+                for _, _, _, table in nilpotents]
+        moves.append((gw, conj))
+
+    parent = list(range(len(nilpotents) * pn))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for i, (_, _, cols, _) in enumerate(nilpotents):
+        base = i * pn
+        targets = [(conj[i] * pn, gw) for gw, conj in moves]
+        # translation w -> w - col_j; zero and repeated columns add nothing
+        shifts = {keys.neg[c] for c in cols if c}
+        targets += [(base, keys.add[s]) for s in shifts]
+        for v in range(pn):
+            a = find(base + v)
+            for t, image in targets:
+                b = find(t + image[v])
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = a = b
+
+    labels = []
+    for _, x, _, _ in nilpotents:
+        labels.extend(_labels(x, p, keys))
+
+    # states in increasing order: the first one met is the orbit's least
+    # key, and the orbits enter ``firsts`` in the order of their least keys
+    firsts: dict[int, list] = {}  # root -> [least state, size]
+    consistent = True
+    for s, label in enumerate(labels):
+        root = find(s)
+        entry = firsts.get(root)
+        if entry is None:
+            firsts[root] = [s, 1]
+        else:
+            entry[1] += 1
+            if label != labels[entry[0]]:
+                consistent = False
 
     group_order = gl_order(n, p) * pn
-    labels = {}
-    consistent = True
-    for x in nilpotents:
-        labels[x] = _classify_all_vectors(x, n, p)
-
     orbits = []
     seen_types = set()
-    for keys in members.values():
-        rep_key = min(keys)
-        size = len(keys)
-        types = {labels[x][w] for x, w in (unpack_state(k, p, n) for k in keys)}
-        if len(types) != 1:
-            consistent = False
-        orbit_type = labels[unpack_state(rep_key, p, n)[0]][
-            unpack_state(rep_key, p, n)[1]
-        ]
+    for s, size in firsts.values():
+        i, v = divmod(s, pn)
+        x, w = nilpotents[i][1], keys.vectors[v]
+        orbit_type = labels[s]
         if orbit_type in seen_types:
             consistent = False
         seen_types.add(orbit_type)
@@ -263,9 +325,8 @@ def orbit_census(n: int, p: int) -> CensusReport:
         else:
             stab = group_order // size
         orbits.append(
-            CensusOrbit(orbit_type, size, stab, rep_key, unpack_state(rep_key, p, n))
+            CensusOrbit(orbit_type, size, stab, pack_state(x, w, p, n), (x, w))
         )
-    orbits.sort(key=lambda o: o.representative_key)
     expected = len(enhanced_partitions_of(n))
     seconds = time.perf_counter() - start
     return CensusReport(
@@ -278,6 +339,17 @@ def orbit_census(n: int, p: int) -> CensusReport:
         classification_consistent=consistent,
         seconds=seconds,
     )
+
+
+def _insert(basis, v) -> int:
+    """Add the bitmask v to an XOR basis (pivot bit -> vector); 1 if new."""
+    while v:
+        top = v.bit_length() - 1
+        if not basis[top]:
+            basis[top] = v
+            return 1
+        v ^= basis[top]
+    return 0
 
 
 def enhanced_number_oracle(e: EnhancedElement, k: int) -> int:
@@ -296,27 +368,41 @@ def enhanced_number_oracle(e: EnhancedElement, k: int) -> int:
         raise OutOfRange("the exhaustive oracle supports n <= 3")
     if k < 0 or k > n:
         raise OutOfRange(f"k must be in [0, {n}], got {k}")
-    cols = [e.x.column(j) for j in range(n)]
-    # enumerate im X as all spans of the columns
-    image = set()
-    for coeffs in itertools.product(range(2), repeat=n):
-        v = tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) % 2
-                  for i in range(n))
-        image.add(v)
-    all_vectors = list(itertools.product(range(2), repeat=n))
+    # a vector is a bitmask: bit i is coordinate i
+    cols = [sum(c << i for i, c in enumerate(e.x.column(j))) for j in range(n)]
+    images = [0]  # images[m] = X m
+    for c in cols:
+        images += [t ^ c for t in images]
+    krylov = []  # krylov[m] = m, X m, ..., X^(n-1) m
+    for m in range(1 << n):
+        block = [m]
+        for _ in range(n - 1):
+            block.append(images[block[-1]])
+        krylov.append(block)
 
-    def module_span(seeds):
-        vecs = []
-        for s in seeds:
-            cur = s
-            for _ in range(n):
-                vecs.append(cur)
-                cur = e.x.apply(cur)
-        return rank_of_vectors(field, vecs)
+    best, best_seeds = -1, ()
 
-    best = 0
-    for delta in image:
-        shifted = tuple((a + b) % 2 for a, b in zip(e.w, delta))
-        for extra in itertools.combinations_with_replacement(all_vectors, k):
-            best = max(best, module_span((shifted,) + extra))
+    def search(basis, rank, first, left, seeds):
+        # extra vectors in non-decreasing order: each multiset once
+        nonlocal best, best_seeds
+        if not left:
+            if rank > best:
+                best, best_seeds = rank, seeds
+            return
+        for m in range(first, 1 << n):
+            if best == n:
+                return
+            grown = basis.copy()
+            gain = sum(_insert(grown, v) for v in krylov[m])
+            search(grown, rank + gain, m, left - 1, seeds + (m,))
+
+    w = sum(c << i for i, c in enumerate(e.w))
+    for delta in sorted(set(images)):  # im X
+        basis = [0] * n
+        rank = sum(_insert(basis, v) for v in krylov[w ^ delta])
+        search(basis, rank, 0, k, (w ^ delta,))
+
+    vectors = [tuple(v >> i & 1 for i in range(n)) for m in best_seeds for v in krylov[m]]
+    if rank_of_vectors(field, vectors) != best:
+        raise RuntimeError(f"XOR-basis rank {best} disagrees with rank_of_vectors")
     return best

@@ -1,8 +1,13 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
 
+from enorbits import census
 from enorbits.census import (
+    CensusOrbit,
+    CensusReport,
     enhanced_number_oracle,
     enumerate_nilpotents,
     gl_order,
@@ -11,16 +16,152 @@ from enorbits.census import (
     unpack_state,
 )
 from enorbits.errors import OutOfRange
-from enorbits.linalg import ExactMatrix, GF, jordan_matrix
-from enorbits.orbits import EnhancedElement, classify
-from enorbits.partitions import Partition, enhanced_number
+from enorbits.linalg import ExactMatrix, GF, jordan_basis, jordan_matrix, rank_of_vectors
+from enorbits.orbits import EnhancedElement, classify, marker_rule
+from enorbits.partitions import Partition, enhanced_number, enhanced_partitions_of
+
+FEASIBLE = [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)]
+
+
+# --- reference: the census on matrix tuples and a dict union-find -------
+
+
+def _matmul(a, b, p):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
+        for row in a
+    )
+
+
+def _matvec(a, v, p):
+    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
+
+
+def _mat_pow_zero(a, p, n):
+    acc = a
+    for _ in range(n - 1):
+        acc = _matmul(acc, a, p)
+    return all(e == 0 for row in acc for e in row)
+
+
+class _DisjointSet:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, a):
+        parent = self.parent
+        root = a
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(a, a) != a:
+            parent[a], a = root, parent[a]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def _reference_census(n, p):
+    """The census as computed before keys were packed: every matrix and
+    vector a tuple, conjugates by two matrix products, one ExactMatrix
+    apply per label."""
+    pn = p ** n
+    nilpotents = []
+    for digits in itertools.product(range(p), repeat=n * n):
+        x = tuple(tuple(digits[i * n + j] for j in range(n)) for i in range(n))
+        if _mat_pow_zero(x, p, n):
+            nilpotents.append(x)
+    vectors = list(itertools.product(range(p), repeat=n))
+    gens = census._group_generators(n, p)
+    gw_table = [{w: _matvec(g, w, p) for w in vectors} for g, _ in gens]
+    dsu = _DisjointSet()
+    for x in nilpotents:
+        conj = [_matmul(_matmul(g, x, p), ginv, p) for g, ginv in gens]
+        cols = [tuple(row[j] for row in x) for j in range(n)]
+        for w in vectors:
+            key = pack_state(x, w, p, n)
+            for gi, xg in enumerate(conj):
+                dsu.union(key, pack_state(xg, gw_table[gi][w], p, n))
+            for col in cols:
+                shifted = tuple((a - b) % p for a, b in zip(w, col))
+                dsu.union(key, pack_state(x, shifted, p, n))
+    members = {}
+    for x in nilpotents:
+        for w in vectors:
+            key = pack_state(x, w, p, n)
+            members.setdefault(dsu.find(key), []).append(key)
+    labels = {}
+    for x in nilpotents:
+        jd = jordan_basis(ExactMatrix(GF(p), x))
+        ginv = jd.change_of_basis.inverse()
+        label = marker_rule(jd.lam)
+        labels[x] = {w: label(ginv.apply(w)) for w in vectors}
+    group_order = gl_order(n, p) * pn
+    consistent = True
+    orbits = []
+    seen_types = set()
+    for keys in members.values():
+        rep_key = min(keys)
+        size = len(keys)
+        types = {labels[x][w] for x, w in (unpack_state(k, p, n) for k in keys)}
+        if len(types) != 1:
+            consistent = False
+        x, w = unpack_state(rep_key, p, n)
+        orbit_type = labels[x][w]
+        if orbit_type in seen_types:
+            consistent = False
+        seen_types.add(orbit_type)
+        if group_order % size != 0:
+            consistent = False
+            stab = 0
+        else:
+            stab = group_order // size
+        orbits.append(CensusOrbit(orbit_type, size, stab, rep_key, (x, w)))
+    orbits.sort(key=lambda o: o.representative_key)
+    expected = len(enhanced_partitions_of(n))
+    return CensusReport(
+        n=n,
+        p=p,
+        orbit_count=len(orbits),
+        orbits=tuple(orbits),
+        expected_count=expected,
+        count_matches=len(orbits) == expected,
+        classification_consistent=consistent,
+        seconds=0,
+    )
+
+
+def _reference_oracle(e, k):
+    """Enhanced number by rank_of_vectors on every Krylov span."""
+    n = e.n
+    f2 = GF(2)
+    image = {e.x.apply(c) for c in itertools.product(range(2), repeat=n)}
+    vectors = list(itertools.product(range(2), repeat=n))
+
+    def span(seeds):
+        vecs = []
+        for s in seeds:
+            for _ in range(n):
+                vecs.append(s)
+                s = e.x.apply(s)
+        return rank_of_vectors(f2, vecs)
+
+    return max(
+        span((tuple((a + b) % 2 for a, b in zip(e.w, d)),) + extra)
+        for d in image
+        for extra in itertools.combinations_with_replacement(vectors, k)
+    )
 
 
 class TestEnumeration:
     def test_counts(self):
-        assert len(list(enumerate_nilpotents(2, 2))) == 4
-        assert len(list(enumerate_nilpotents(3, 2))) == 64
-        assert len(list(enumerate_nilpotents(2, 3))) == 9
+        # Fine-Herstein: p**(n*n - n) nilpotent n x n matrices over F_p
+        for n, p in FEASIBLE:
+            matrices = list(enumerate_nilpotents(n, p))
+            assert len(matrices) == len(set(matrices)) == p ** (n * n - n)
 
     def test_all_nilpotent_and_distinct(self):
         seen = set()
@@ -96,11 +237,17 @@ class TestCensus:
         ]
 
     def test_representatives_classify_to_type(self):
-        report = orbit_census(3, 2)
-        for o in report.orbits:
-            x, w = o.representative
-            e = EnhancedElement(ExactMatrix(GF(2), x), w)
-            assert classify(e) == o.type
+        for p in (2, 3):
+            for o in orbit_census(3, p).orbits:
+                x, w = o.representative
+                e = EnhancedElement(ExactMatrix(GF(p), x), w)
+                assert classify(e) == o.type
+                assert o.representative_key == pack_state(x, w, p, 3)
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+    def test_matches_reference(self, n, p):
+        report = dataclasses.replace(orbit_census(n, p), seconds=0)
+        assert report == _reference_census(n, p)
 
     def test_infeasible_rejected(self):
         with pytest.raises(OutOfRange):
@@ -125,6 +272,29 @@ class TestEnhancedNumberOracle:
                     assert enhanced_number_oracle(e, k) == enhanced_number(
                         lq, k
                     )
+
+    def test_matches_reference(self):
+        f2 = GF(2)
+        elements = [
+            EnhancedElement(ExactMatrix(f2, x), w)
+            for n in (1, 2)
+            for x in enumerate_nilpotents(n, 2)
+            for w in itertools.product(range(2), repeat=n)
+        ]
+        rng = random.Random(60611)
+        nilpotents = list(enumerate_nilpotents(3, 2))
+        for _ in range(12):
+            w = tuple(rng.randrange(2) for _ in range(3))
+            elements.append(EnhancedElement(ExactMatrix(f2, rng.choice(nilpotents)), w))
+        for e in elements:
+            for k in range(e.n + 1):
+                assert enhanced_number_oracle(e, k) == _reference_oracle(e, k)
+
+    def test_rank_disagreement_raises(self, monkeypatch):
+        e = EnhancedElement(jordan_matrix(GF(2), Partition((2, 1))), (0, 1, 0))
+        monkeypatch.setattr(census, "rank_of_vectors", lambda field, vectors: -1)
+        with pytest.raises(RuntimeError):
+            enhanced_number_oracle(e, 1)
 
     def test_bounds(self):
         f2 = GF(2)

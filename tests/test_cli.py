@@ -332,6 +332,32 @@ class TestOracle:
         )
         assert result.exit_code == 2
 
+    # printed by the tuple/dict union-find census and the
+    # combinations_with_replacement oracle that preceded the packed ones
+    def test_census_n3_p3_golden(self, runner):
+        args = ["oracle", "census", "--n", "3", "--p", "3", "--format", "csv"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output == (
+            "7 orbits\n"
+            "expected: 7\n"
+            "count_matches: true\n"
+            "classification_consistent: true\n"
+            "type,orbit_size,stabilizer_order,representative\n"
+            "1,1,1[3],1,303264,0\n"
+            "1,1,1[0],26,11664,1\n"
+            "2,1[2],312,972,51\n"
+            "2,1[0],1872,162,54\n"
+            "2,1[1],624,486,5a\n"
+            "3[1],5616,54,3cc\n"
+            "3[0],11232,27,3d5\n"
+        )
+
+    def test_enhanced_numbers_n3_golden(self, runner):
+        result = runner.invoke(main, ["oracle", "enhanced-numbers", "--n", "3"])
+        assert result.exit_code == 0
+        assert result.output == "checked: 2048\nagreement: true\n"
+
 
 class TestInProcess:
     def test_redirected_stdout_is_released(self):
