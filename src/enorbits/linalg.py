@@ -6,11 +6,24 @@ no floating point anywhere.
 
 All arithmetic runs in one kernel on Python ints, reduced mod p over F_p
 and not at all over Q (p = 0).  Rational operands are scaled to ints by a
-common denominator.  Elimination (``_echelon``) is fraction-free over Q,
-as in Bareiss (Math. Comp. 22, 1968): ``row_i <- (a/g) row_i - (b/g)
-row_r`` for the pivot a and g = gcd(a, b), divided by the row's content.
-A Fraction is built only for an entry a function returns.  The powers of
-X = X_int / d share their ranks and kernels with those of X_int.
+common denominator; a matrix keeps its scaled form once made.
+Elimination is fraction-free over Q, as in Bareiss (Math. Comp. 22,
+1968): ``row_i <- (a/g) row_i - (b/g) row_r`` for the pivot a and
+g = gcd(a, b), divided by the row's content; over F_p each pivot is
+scaled to 1.  A Fraction is built only for an entry a function returns.
+The powers of X = X_int / d share their ranks and kernels with those of
+X_int.
+
+The row steps come in two forms.  ``_echelon`` reduces a dense list of
+rows at once; rank, kernel_basis, solve, inverse and the powers of X
+(``_powers``) use it, because their rows are dense and short, and there
+a sparse row costs about 15 % more.  ``_extend`` adds one sparse row,
+``{column: int}``, to an echelon basis ``{pivot: row}``.  It serves the
+two solves that grow a basis: ``centralizer_basis``, whose n^2 commutator
+rows have at most 2n entries each, and ``jordan_basis``, which tests each
+candidate generator against a pool it keeps reduced.  Back-reducing the
+basis gives the unique reduced row echelon form, so the kernels read off
+either form agree entry for entry.
 
 The classification theory is stated over an algebraically closed field,
 but Jordan forms and the orbit reductions used here are rational over the
@@ -181,24 +194,114 @@ def _echelon(rows, p):
     return pivots
 
 
-def _kernel(rows, pivots, ncols, p):
-    """Kernel basis read off reduced rows, one vector per free column."""
-    zero, one = _quotient(0, 1, p), _quotient(1, 1, p)
-    basis = []
-    for fc in sorted(set(range(ncols)).difference(pivots)):
-        v = [zero] * ncols
-        v[fc] = one
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = _quotient(-row[fc], row[pc], p)
-        basis.append(tuple(v))
-    return basis
+def _eliminate(row, top, c, p):
+    """row with its column c cleared by the pivot row top (pivot column c).
+
+    Both rows are sparse, ``{column: int}`` with no zero entries, and row
+    is updated in place unless it is rescaled.  The steps are those of
+    ``_echelon``: over F_p top[c] is 1; over Q ``row <- (a/g) row - (b/g)
+    top`` for a = top[c], b = row[c] and g = gcd(a, b), divided by its
+    content.
+    """
+    b = row[c]
+    if p:
+        for k, u in top.items():
+            e = (row.get(k, 0) - b * u) % p
+            if e:
+                row[k] = e
+            else:
+                del row[k]
+        return row
+    a = top[c]
+    g = gcd(a, b)
+    s, t = a // g, b // g
+    if s != 1:
+        row = {k: s * e for k, e in row.items()}
+    for k, u in top.items():
+        e = row.get(k, 0) - t * u
+        if e:
+            row[k] = e
+        else:
+            del row[k]
+    k = gcd(*row.values()) if row else 1
+    return {j: e // k for j, e in row.items()} if k > 1 else row
+
+
+def _extend(basis, row, p):
+    """Add a sparse row to an echelon basis; True when it was independent.
+
+    ``basis`` maps each pivot column to its row, which has no entry left of
+    its pivot.  The row, ``{column: int}`` with no zero entries (mod p over
+    F_p), is consumed: it is reduced leftmost column first and, when
+    something is left, stored under its leftmost column, scaled to pivot 1
+    over F_p and divided by its content over Q.
+    """
+    while row:
+        c = min(row)
+        top = basis.get(c)
+        if top is None:
+            if p:
+                inv = pow(row[c], p - 2, p)
+                row = {k: e * inv % p for k, e in row.items()}
+            else:
+                k = gcd(*row.values())
+                if k > 1:
+                    row = {j: e // k for j, e in row.items()}
+            basis[c] = row
+            return True
+        row = _eliminate(row, top, c, p)
+    return False
+
+
+def _back_reduce(basis, p):
+    """Clear every pivot column outside its own row, last pivot first, so
+    that the rows become multiples of the reduced row echelon form."""
+    for pc in sorted(basis, reverse=True):
+        row = basis[pc]
+        for c in [c for c in row if c != pc and c in basis]:
+            row = _eliminate(row, basis[c], c, p)
+        basis[pc] = row
+
+
+def _sparse(row):
+    return {j: e for j, e in enumerate(row) if e}
+
+
+def _kernel(basis, ncols, p):
+    """Kernel basis read off reduced sparse rows ``{pivot: row}``, one
+    vector per free column: v[fc] = 1 and v[pc] = -row[fc] / row[pc].
+    Each vector is a pair (ints, d) with v = ints / d (d = 1 over F_p)."""
+    free = sorted(set(range(ncols)).difference(basis))
+    dens = dict.fromkeys(free, 1)
+    if not p:
+        for pc, row in basis.items():
+            a = abs(row[pc])
+            for fc in row:
+                if fc != pc:
+                    dens[fc] = lcm(dens[fc], a)
+    vectors = {}
+    for fc in free:
+        vectors[fc] = [0] * ncols
+        vectors[fc][fc] = dens[fc]
+    for pc, row in basis.items():
+        a = row[pc]
+        for fc, e in row.items():
+            if fc != pc:
+                e = -e * (dens[fc] // a)
+                vectors[fc][pc] = e % p if p else e
+    return [(vectors[fc], dens[fc]) for fc in free]
+
+
+def _vector(ints, d, p):
+    """The field elements ints / d, as a tuple."""
+    zero = _quotient(0, 1, p)
+    return tuple(_quotient(e, d, p) if e else zero for e in ints)
 
 
 class ExactMatrix:
     """Immutable dense matrix over an exact field."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "entries", "_scaled")
 
     def __init__(self, field, entries):
         entries = tuple(tuple(field.coerce(e) for e in row) for row in entries)
@@ -211,6 +314,16 @@ class ExactMatrix:
         self.rows = len(entries)
         self.cols = cols
         self.entries = entries
+        self._scaled = None
+
+    @classmethod
+    def _of(cls, field, entries, scaled):
+        """The matrix of ``entries``, rows of field elements, whose integer
+        form ``scaled`` is known; no entry is coerced or checked."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols = field, len(entries), len(entries[0])
+        m.entries, m._scaled = entries, scaled
+        return m
 
     # --- constructors -------------------------------------------------
 
@@ -232,6 +345,13 @@ class ExactMatrix:
         return ExactMatrix(field, list(zip(*columns)))
 
     # --- basics -------------------------------------------------------
+
+    def _int_form(self):
+        """(ints, d) with entries = ints / d, as ``_ints`` gives them, made
+        once per matrix; the rows are shared, so callers must not mutate them."""
+        if self._scaled is None:
+            self._scaled = _ints(self.field, self.entries)
+        return self._scaled
 
     def __eq__(self, other):
         return (
@@ -271,8 +391,8 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise SizeMismatch("inner dimensions differ")
         f = self.field
-        a, da = _ints(f, self.entries)
-        b, db = _ints(f, other.entries)
+        a, da = self._int_form()
+        b, db = other._int_form()
         d, p = da * db, f.p
         return ExactMatrix(f, [[_quotient(e, d, p) for e in row] for row in _imul(a, b, p)])
 
@@ -281,7 +401,7 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise SizeMismatch("vector length differs from column count")
         f = self.field
-        a, da = _ints(f, self.entries)
+        a, da = self._int_form()
         (v,), dv = _ints(f, [[f.coerce(x) for x in vec]])
         d, p = da * dv, f.p
         return tuple(_quotient(sum(map(mul, row, v)), d, p) for row in a)
@@ -290,7 +410,7 @@ class ExactMatrix:
         if not self.is_square():
             raise NotSquare("power of a non-square matrix")
         f = self.field
-        a, d = _ints(f, self.entries)
+        a, d = self._int_form()
         d, p = d**k, f.p
         return ExactMatrix(f, [[_quotient(e, d, p) for e in row] for row in _ipow(a, k, p)])
 
@@ -308,7 +428,7 @@ class ExactMatrix:
 
 
 def rank(m: ExactMatrix) -> int:
-    return len(_echelon(_ints(m.field, m.entries)[0], m.field.p))
+    return len(_echelon(list(m._int_form()[0]), m.field.p))
 
 
 def rank_of_vectors(field, vectors) -> int:
@@ -320,8 +440,11 @@ def rank_of_vectors(field, vectors) -> int:
 
 def kernel_basis(m: ExactMatrix) -> list[tuple]:
     """Basis of the right kernel, one vector per free column."""
-    rows, _ = _ints(m.field, m.entries)
-    return _kernel(rows, _echelon(rows, m.field.p), m.cols, m.field.p)
+    rows = list(m._int_form()[0])
+    p = m.field.p
+    pivots = _echelon(rows, p)
+    basis = {pc: _sparse(row) for row, pc in zip(rows, pivots)}
+    return [_vector(v, d, p) for v, d in _kernel(basis, m.cols, p)]
 
 
 def solve(m: ExactMatrix, rhs) -> tuple | None:
@@ -343,7 +466,7 @@ def solve(m: ExactMatrix, rhs) -> tuple | None:
 def is_nilpotent(x: ExactMatrix) -> bool:
     if not x.is_square():
         raise NotSquare("nilpotency is defined for square matrices")
-    a, _ = _ints(x.field, x.entries)
+    a, _ = x._int_form()
     return not any(map(any, _ipow(a, x.rows, x.field.p)))
 
 
@@ -361,12 +484,12 @@ def jordan_matrix(field, lam: Partition) -> ExactMatrix:
 
 def _powers(x: ExactMatrix):
     """The Jordan type of x, from the ranks of its powers, and the reduced
-    rows and pivots of x, x^2, ... up to the last nonzero power; all on the
-    integer matrix of x.  Raises NotNilpotent."""
+    rows of x, x^2, ... up to the last nonzero power, each as sparse rows
+    ``{pivot: row}``; all on the integer matrix of x.  Raises NotNilpotent."""
     if not x.is_square():
         raise NotSquare("nilpotency is defined for square matrices")
     p = x.field.p
-    a, _ = _ints(x.field, x.entries)
+    a, _ = x._int_form()
     echelons, power, ranks = [], a, [x.rows]
     while True:
         rows = list(power)
@@ -376,7 +499,7 @@ def _powers(x: ExactMatrix):
         # rank(x^k) = rank(x^(k-1)) > 0 stays so for every higher power
         if len(pivots) == ranks[-1]:
             raise NotNilpotent("matrix is not nilpotent")
-        echelons.append((rows, pivots))
+        echelons.append({pc: _sparse(row) for row, pc in zip(rows, pivots)})
         ranks.append(len(pivots))
         power = _imul(power, a, p)
     ranks.append(0)
@@ -408,24 +531,25 @@ def jordan_basis(x: ExactMatrix) -> JordanData:
     n = x.rows
     m = len(echelons) + 1  # x^m = 0
     # kernel filtration bases: kernels[k] spans ker x^k
-    kernels = [[]] + [_kernel(rows, piv, n, f.p) for rows, piv in echelons + [([], [])]]
+    kernels = [[]] + [_kernel(basis, n, f.p) for basis in echelons + [{}]]
 
     chains: list[list[tuple]] = []  # chains[i] = [v, x v, ..., x^(a-1) v]
 
     for size in range(m, 0, -1):
         # span that new size-`size` generators must avoid: ker x^(size-1)
-        # plus the depth-appropriate images of already-chosen generators
-        pool = list(kernels[size - 1])
+        # plus the depth-appropriate images of already-chosen generators,
+        # kept reduced so that each candidate costs one reduction
+        pool = {}
+        for v, _ in kernels[size - 1]:
+            _extend(pool, _sparse(v), f.p)
         for chain in chains:
             depth = len(chain) - size
             if depth >= 0:
-                pool.append(chain[depth])
-        current = rank_of_vectors(f, pool)
-        for cand in kernels[size]:
-            if rank_of_vectors(f, pool + [cand]) > current:
-                pool.append(cand)
-                current += 1
-                chain = [cand]
+                (row,), _ = _ints(f, [chain[depth]])
+                _extend(pool, _sparse(row), f.p)
+        for v, d in kernels[size]:
+            if _extend(pool, _sparse(v), f.p):
+                chain = [_vector(v, d, f.p)]
                 for _ in range(size - 1):
                     chain.append(x.apply(chain[-1]))
                 chains.append(chain)
@@ -437,26 +561,52 @@ def jordan_basis(x: ExactMatrix) -> JordanData:
 
 
 def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
-    """Basis of {Y : XY = YX} via the kernel of the commutator map."""
+    """Basis of {Y : XY = YX} via the kernel of the commutator map.
+
+    The commutator system has n^2 rows with at most 2n entries each, so it
+    is reduced sparse, one row at a time, then back-reduced; the reduced
+    row echelon form is unique, so the basis is the one a dense
+    elimination reads off.
+    """
     if not x.is_square():
         raise NotSquare("centralizer of a non-square matrix")
     n = x.rows
-    f = x.field
-    a, _ = _ints(f, x.entries)
+    f, p = x.field, x.field.p
+    a, _ = x._int_form()
     # (XY - YX)_ij as a linear form in the entries of Y, times X's denominator
-    rows = []
+    basis = {}
     for i in range(n):
         for j in range(n):
-            row = [0] * (n * n)
-            for k in range(n):
-                row[k * n + j] += a[i][k]
+            row = {k * n + j: a[i][k] for k in range(n) if a[i][k]}
             for l in range(n):
-                row[i * n + l] -= a[l][j]
-            rows.append([e % f.p for e in row] if f.p else row)
-    return [
-        ExactMatrix(f, [v[i * n:(i + 1) * n] for i in range(n)])
-        for v in _kernel(rows, _echelon(rows, f.p), n * n, f.p)
-    ]
+                if a[l][j]:
+                    c = i * n + l
+                    e = row.get(c, 0) - a[l][j]
+                    if p:
+                        e %= p
+                    if e:
+                        row[c] = e
+                    else:
+                        del row[c]
+            _extend(basis, row, p)
+    _back_reduce(basis, p)
+    starts = range(0, n * n, n)  # of the rows of Y, flattened row by row
+    out = []
+    for v, d in _kernel(basis, n * n, p):
+        entries = _vector(v, d, p)
+        out.append(ExactMatrix._of(f, tuple(entries[i:i + n] for i in starts),
+                                   ([v[i:i + n] for i in starts], d)))
+    return out
+
+
+def _enhanced_rank(x: ExactMatrix, w):
+    """(dim g_X, rank of im X + g_X . w), with g_X from ``centralizer_basis``."""
+    centralizer = centralizer_basis(x)
+    f = x.field
+    (wi,), _ = _ints(f, [[f.coerce(e) for e in w]])
+    # each vector scaled by a nonzero constant, which leaves the rank
+    vectors = [[sum(map(mul, row, wi)) for row in y._int_form()[0]] for y in centralizer]
+    return len(centralizer), rank_of_vectors(f, vectors + list(zip(*x._int_form()[0])))
 
 
 def enhanced_centralizer_dim(x: ExactMatrix, w) -> int:
@@ -469,8 +619,8 @@ def enhanced_centralizer_dim(x: ExactMatrix, w) -> int:
         raise NotNilpotent("matrix is not nilpotent")
     if len(w) != x.rows:
         raise SizeMismatch("vector length differs from matrix size")
-    cols = [c.apply(w) for c in centralizer_basis(x)] + x.columns()
-    return len(cols) - rank_of_vectors(x.field, cols)
+    dim, r = _enhanced_rank(x, w)
+    return dim + x.rows - r
 
 
 # --- file format ------------------------------------------------------

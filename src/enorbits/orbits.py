@@ -14,13 +14,12 @@ from .errors import InvalidQ, NotNilpotent, SizeMismatch
 from .linalg import (
     ExactMatrix,
     QQ,
-    centralizer_basis,
+    _enhanced_rank,
     is_nilpotent,
     jordan_basis,
     jordan_matrix,
     jordan_type,
     rank,
-    rank_of_vectors,
     solve,
 )
 from .partitions import (
@@ -105,12 +104,7 @@ def classify_invariant(e: EnhancedElement) -> EnhancedPartition:
     the full matrix centralizer of X.
     """
     lam = jordan_type(e.x)
-    f = e.x.field
-    n = e.n
-    vectors = [e.x.column(j) for j in range(n)]
-    vectors += [c.apply(e.w) for c in centralizer_basis(e.x)]
-    q = n - rank_of_vectors(f, vectors)
-    return EnhancedPartition(lam, q)
+    return EnhancedPartition(lam, e.n - _enhanced_rank(e.x, e.w)[1])
 
 
 def canonical_representative(lq: EnhancedPartition, field=QQ) -> EnhancedElement:

@@ -25,6 +25,11 @@ MAX_POSET_N = 16
 MAX_HASSE_N = 10
 #: Largest n of ``enorbits orbits``, which describes every label.
 MAX_ORBITS_N = 12
+#: Largest n of a label read by ``parse_enhanced``.  The label commands
+#: take time linear in n for one part and quadratic in the number of
+#: parts, at most about 30 ms at this bound on a 2-core Xeon; without a
+#: bound a label of a few more digits runs for minutes.
+MAX_LABEL_N = 1000
 
 
 @dataclass(frozen=True, order=True)
@@ -171,13 +176,16 @@ def parse_enhanced(text: str) -> EnhancedPartition:
     m = _ENH_RE.match(text)
     if not m:
         raise ParseError(f"cannot parse enhanced partition: {text!r}")
-    body, q = m.group(1), int(m.group(2))
     try:
-        parts = tuple(int(p) for p in body.replace(" ", "").split(",") if p)
+        # int() refuses strings of more than 4300 digits with ValueError
+        parts = tuple(int(p) for p in m.group(1).replace(" ", "").split(",") if p)
+        q = int(m.group(2))
     except ValueError as exc:
-        raise ParseError(f"bad part list in {text!r}") from exc
+        raise ParseError(f"bad part list or marker in {text!r}") from exc
     if not parts:
         raise ParseError(f"empty part list in {text!r}")
+    if sum(parts) > MAX_LABEL_N:
+        raise OutOfRange(f"labels of n > {MAX_LABEL_N} are not accepted, got n = {sum(parts)}")
     try:
         lam = Partition(parts)
     except ValueError as exc:

@@ -3,6 +3,8 @@
 Matrices have at most 5 rows and columns.  Rational entries mix small
 integers, small fractions and fractions with denominators near 10^30;
 products A B of random factors make rank-deficient matrices common.
+Nilpotent matrices are conjugates g J g^-1 of Jordan matrices, with g
+drawn from the same entries.
 """
 
 from fractions import Fraction
@@ -11,11 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enorbits.linalg import GF, QQ, ExactMatrix, jordan_matrix, jordan_type, kernel_basis, rank
+from enorbits.linalg import (
+    GF,
+    QQ,
+    ExactMatrix,
+    centralizer_basis,
+    jordan_basis,
+    jordan_matrix,
+    jordan_type,
+    kernel_basis,
+    rank,
+)
 from enorbits.partitions import partitions_of
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import GF as SympyGF  # noqa: E402
+from sympy.polys.domains import QQ as SympyQQ  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
@@ -65,19 +78,26 @@ def test_kernel_matches_sympy(m):
         assert to_sympy(list(zip(*basis))).rank() == len(basis)
 
 
+SMALL = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
 @st.composite
-def conjugated_jordan(draw):
+def conjugated_jordan(draw, small=SMALL, max_n=5):
     """(lam, g J_lam g^-1) with g = L U, L unit lower and U unit upper
-    triangular with small rational entries, so g is invertible."""
-    n = draw(st.integers(1, 5))
+    triangular with rational entries drawn from ``small``, so g is
+    invertible; lam is a partition of n <= max_n."""
+    n = draw(st.integers(1, max_n))
     lam = draw(st.sampled_from(partitions_of(n)))
-    small = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
     low = [[1 if i == j else (draw(small) if i > j else 0) for j in range(n)] for i in range(n)]
     up = [[1 if i == j else (draw(small) if i < j else 0) for j in range(n)] for i in range(n)]
     g = to_sympy(product(low, up))
     jm = jordan_matrix(QQ, lam).entries
     x = g * to_sympy(jm) * g.inv()
     return lam, x
+
+
+def from_sympy(x):
+    return ExactMatrix(QQ, [[Fraction(int(e.p), int(e.q)) for e in x.row(i)] for i in range(x.rows)])
 
 
 def sympy_block_sizes(x):
@@ -98,8 +118,7 @@ def sympy_block_sizes(x):
 @given(conjugated_jordan())
 def test_jordan_type_matches_sympy(case):
     lam, x = case
-    m = ExactMatrix(QQ, [[Fraction(int(e.p), int(e.q)) for e in x.row(i)] for i in range(x.rows)])
-    got = jordan_type(m)
+    got = jordan_type(from_sympy(x))
     assert got == lam
     assert got.parts == sympy_block_sizes(x)
 
@@ -111,3 +130,46 @@ def test_prime_field_rank_matches_sympy(p, data):
     m = [[int(e) for e in row] for row in m]
     expected = DomainMatrix.from_list(m, ZZ).convert_to(SympyGF(p)).rank()
     assert rank(ExactMatrix(GF(p), m)) == expected
+
+
+def domain_matrix(rows, ncols):
+    """A list of rows of Fractions or sympy Rationals over sympy's QQ."""
+    entries = [[SympyQQ(int(e.numerator), int(e.denominator)) for e in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), ncols), SympyQQ)
+
+
+def commutator_nullspace(x):
+    """sympy's nullspace of Y -> XY - YX on Y flattened row by row."""
+    n = x.rows
+    zero = sympy.Integer(0)
+    # (XY - YX)_ij = sum_k X_ik Y_kj - sum_l Y_il X_lj
+    system = [[(x[i, k] if j == l else zero) - (x[l, j] if i == k else zero)
+               for k in range(n) for l in range(n)]
+              for i in range(n) for j in range(n)]
+    return domain_matrix(system, n * n).nullspace()
+
+
+# with g drawn from RATIONALS the entries of X run to hundreds of digits;
+# n <= 4 keeps sympy's reduction of the commutator system under a second
+@SETTINGS
+@given(conjugated_jordan(RATIONALS, max_n=4))
+def test_centralizer_matches_sympy(case):
+    lam, x = case
+    n = x.rows
+    basis = centralizer_basis(from_sympy(x))
+    assert len(basis) == sum(c * c for c in lam.transpose().parts)
+    null = commutator_nullspace(x)
+    assert null.shape[0] == len(basis)
+    flat = domain_matrix([[e for row in y.entries for e in row] for y in basis], n * n)
+    assert flat.rank() == len(basis)
+    assert flat.vstack(null).rank() == len(basis)
+
+
+@SETTINGS
+@given(conjugated_jordan(RATIONALS))
+def test_jordan_basis_conjugates_to_jordan_matrix(case):
+    lam, x = case
+    jd = jordan_basis(from_sympy(x))
+    g = to_sympy(jd.change_of_basis.entries)
+    assert jd.lam == lam
+    assert g.inv() * x * g == to_sympy(jordan_matrix(QQ, lam).entries)
