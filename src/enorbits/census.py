@@ -19,11 +19,15 @@ key v).  Every one of the p**(n*n) matrices is tested for nilpotency on
 its columns: the trace must vanish, then X^n e_j = 0 for every j.  The
 nilpotents are numbered in matrix-key order, so the state (X_i, v) has
 index ``i * p**n + v`` and the smallest index of an orbit is its smallest
-packed key.  Each group generator acts on vector keys through one table,
-and on the nilpotents through one conjugate index each, so a union-find
-step is a few list lookups on a flat parent array.  Enumeration and
-union-find use no ``linalg``; the labels they are checked against come
-from one ``jordan_basis`` per nilpotent and ``orbits.marker_rule``.
+packed key.  The group generators are the transvections I + E_ij and,
+for p > 2, diag(gamma, 1, ..., 1); each is its action table on vector
+keys, made from its columns like any matrix's.  That table is a
+permutation of the keys, so g^-1 e_k is the key g sends to p**k, and no
+inverse is computed.  A generator acts on the nilpotents through one
+conjugate index each, so a union-find step is a few list lookups on a
+flat parent array.  Enumeration and union-find use no ``linalg``; the
+labels they are checked against come from one ``jordan_basis`` per
+nilpotent and ``orbits.marker_rule``.
 
 ``enhanced_number_oracle`` searches over F_2 with vectors as bitmasks: the
 Krylov block of every vector is built once, and the rank of a seed tuple
@@ -66,32 +70,6 @@ def gl_order(n: int, p: int) -> int:
     for i in range(n):
         out *= pn - p ** i
     return out
-
-
-# --- tiny mod-p matrix helpers on tuples ------------------------------
-
-
-def _matvec(a, v, p):
-    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
-
-
-def _inv_mod(a, p, n):
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(a)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] % p), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [(e * inv) % p for e in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(e - f * g) % p for e, g in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def pack_state(x, w, p, n) -> int:
@@ -185,23 +163,16 @@ def enumerate_nilpotents(n: int, p: int):
         yield _matrix(cols, keys)
 
 
-def _group_generators(n: int, p: int):
-    """Transvections I + E_ij plus one diagonal multiplier for p > 2."""
-    gens = []
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            g = [list(row) for row in ident]
-            g[i][j] = 1
-            gens.append(tuple(tuple(row) for row in g))
+def _group_generators(n: int, p: int, keys: _Keys):
+    """Action tables of the transvections I + E_ij and, for p > 2, of
+    diag(gamma, 1, ..., 1) for a primitive root gamma, from their columns
+    as vector keys (e_k has key p**k)."""
+    unit = [p ** k for k in range(n)]
+    gens = [unit[:j] + [unit[j] + unit[i]] + unit[j + 1:]
+            for i in range(n) for j in range(n) if i != j]
     if p > 2:
-        gamma = _primitive_root(p)
-        g = [list(row) for row in ident]
-        g[0][0] = gamma
-        gens.append(tuple(tuple(row) for row in g))
-    return [(g, _inv_mod(g, p, n)) for g in gens]
+        gens.append([_primitive_root(p)] + unit[1:])
+    return [_action(cols, keys) for cols in gens]
 
 
 def _primitive_root(p: int) -> int:
@@ -260,11 +231,11 @@ def orbit_census(n: int, p: int) -> CensusReport:
     nilpotents.sort()
     index = {cols: i for i, (_, _, cols, _) in enumerate(nilpotents)}
 
-    # g X g^-1 has columns g X (g^-1 e_k): one action lookup, one g lookup
+    # g X g^-1 has columns g X (g^-1 e_k): one action lookup, one g lookup;
+    # g^-1 e_k is the key that g sends to p**k
     moves = []  # per generator: (image of each vector key, conjugate indices)
-    for g, ginv in _group_generators(n, p):
-        gw = [keys.key[_matvec(g, v, p)] for v in keys.vectors]
-        inv_cols = [keys.key[col] for col in zip(*ginv)]
+    for gw in _group_generators(n, p, keys):
+        inv_cols = [gw.index(p ** k) for k in range(n)]
         conj = [index[tuple(gw[table[u]] for u in inv_cols)]
                 for _, _, _, table in nilpotents]
         moves.append((gw, conj))

@@ -48,13 +48,9 @@ def normalize_det_twist(w: WeightSpec) -> WeightSpec:
     return WeightSpec(w.n, tuple(a - last for a in w.weight))
 
 
-def _normalized_class(w: WeightSpec) -> tuple[int, ...]:
-    return normalize_det_twist(w).weight
-
-
 def decide_enhanced(w: WeightSpec) -> Finiteness:
     """Finiteness under the enhanced group GL_n x| M."""
-    nw = _normalized_class(w)
+    nw = normalize_det_twist(w).weight
     n = w.n
     if n == 1:
         return Finiteness.FINITE
@@ -71,7 +67,7 @@ def decide_enhanced(w: WeightSpec) -> Finiteness:
 
 def decide_gl_variety(w: WeightSpec) -> Finiteness:
     """Finiteness under GL_n alone (orbits refine the enhanced ones)."""
-    nw = _normalized_class(w)
+    nw = normalize_det_twist(w).weight
     n = w.n
     if n == 1:
         return Finiteness.FINITE

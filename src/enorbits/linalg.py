@@ -14,16 +14,16 @@ scaled to 1.  A Fraction is built only for an entry a function returns.
 The powers of X = X_int / d share their ranks and kernels with those of
 X_int.
 
-The row steps come in two forms.  ``_echelon`` reduces a dense list of
-rows at once; rank, kernel_basis, solve, inverse and the powers of X
-(``_powers``) use it, because their rows are dense and short, and there
-a sparse row costs about 15 % more.  ``_extend`` adds one sparse row,
-``{column: int}``, to an echelon basis ``{pivot: row}``.  It serves the
-two solves that grow a basis: ``centralizer_basis``, whose n^2 commutator
-rows have at most 2n entries each, and ``jordan_basis``, which tests each
-candidate generator against a pool it keeps reduced.  Back-reducing the
-basis gives the unique reduced row echelon form, so the kernels read off
-either form agree entry for entry.
+Every elimination goes through one reducer.  ``_extend`` adds one sparse
+row, ``{column: int}``, to an echelon basis ``{pivot: row}``; ``_reduce``
+feeds it the rows of a dense matrix.  rank, kernel_basis, solve, inverse
+and the powers of X (``_powers``) reduce whole matrices that way;
+``centralizer_basis`` extends its basis with each of its n^2 commutator
+rows, which have at most 2n entries, as it builds them, and
+``jordan_basis`` tests each candidate generator against a pool it keeps
+reduced.  ``_back_reduce`` turns a basis into multiples of the unique
+reduced row echelon form, which kernels, solutions and inverses are read
+off.
 
 The classification theory is stated over an algebraically closed field,
 but Jordan forms and the orbit reductions used here are rational over the
@@ -156,52 +156,14 @@ def _ipow(a, k, p):
     return out
 
 
-def _echelon(rows, p):
-    """Reduce integer rows in place; returns the pivot columns.
-
-    Over F_p (p > 0) the entries are ints mod p and every pivot is scaled
-    to 1, giving the reduced row echelon form.  Over Q (p = 0) elimination
-    is fraction-free, and row r ends as its pivot entry times row r of the
-    reduced row echelon form.
-    """
-    pivots = []
-    nrows = len(rows)
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        a = top[c]
-        if p:
-            inv = pow(a, p - 2, p)
-            top = rows[r] = [e * inv % p for e in top]
-        for i in range(nrows):
-            b = rows[i][c]
-            if not b or i == r:
-                continue
-            if p:
-                rows[i] = [(e - b * t) % p for e, t in zip(rows[i], top)]
-            else:
-                g = gcd(a, b)
-                s, t = a // g, b // g
-                row = [s * e - t * u for e, u in zip(rows[i], top)]
-                k = gcd(*row)
-                rows[i] = [e // k for e in row] if k > 1 else row
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def _eliminate(row, top, c, p):
     """row with its column c cleared by the pivot row top (pivot column c).
 
     Both rows are sparse, ``{column: int}`` with no zero entries, and row
-    is updated in place unless it is rescaled.  The steps are those of
-    ``_echelon``: over F_p top[c] is 1; over Q ``row <- (a/g) row - (b/g)
-    top`` for a = top[c], b = row[c] and g = gcd(a, b), divided by its
-    content.
+    is updated in place unless it is rescaled.  Over F_p top[c] is 1 and
+    ``row <- row - b top``; over Q, fraction-free, ``row <- (a/g) row -
+    (b/g) top`` for a = top[c], b = row[c] and g = gcd(a, b), divided by
+    its content.
     """
     b = row[c]
     if p:
@@ -267,10 +229,20 @@ def _sparse(row):
     return {j: e for j, e in enumerate(row) if e}
 
 
+def _reduce(rows, p):
+    """The echelon basis ``{pivot: row}`` of dense integer rows."""
+    basis = {}
+    for row in rows:
+        _extend(basis, _sparse(row), p)
+    return basis
+
+
 def _kernel(basis, ncols, p):
-    """Kernel basis read off reduced sparse rows ``{pivot: row}``, one
-    vector per free column: v[fc] = 1 and v[pc] = -row[fc] / row[pc].
-    Each vector is a pair (ints, d) with v = ints / d (d = 1 over F_p)."""
+    """Kernel basis of the echelon rows ``{pivot: row}``, back-reduced in
+    place first, one vector per free column: v[fc] = 1 and v[pc] =
+    -row[fc] / row[pc].  Each vector is a pair (ints, d) with v = ints / d
+    (d = 1 over F_p)."""
+    _back_reduce(basis, p)
     free = sorted(set(range(ncols)).difference(basis))
     dens = dict.fromkeys(free, 1)
     if not p:
@@ -420,30 +392,30 @@ class ExactMatrix:
         n, f = self.rows, self.field
         eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         aug, _ = _ints(f, [row + e for row, e in zip(self.entries, eye)])
-        # a singular left block leaves a pivot column >= n among the first n
-        if _echelon(aug, f.p)[:n] != list(range(n)):
+        basis = _reduce(aug, f.p)
+        if any(i not in basis for i in range(n)):
             raise NotInvertible("matrix is singular")
-        inverse = [[_quotient(e, row[i], f.p) for e in row[n:]] for i, row in enumerate(aug)]
+        _back_reduce(basis, f.p)
+        inverse = [[_quotient(row.get(j, 0), row[i], f.p) for j in range(n, 2 * n)]
+                   for i, row in sorted(basis.items())]
         return ExactMatrix(f, inverse)
 
 
 def rank(m: ExactMatrix) -> int:
-    return len(_echelon(list(m._int_form()[0]), m.field.p))
+    return len(_reduce(m._int_form()[0], m.field.p))
 
 
 def rank_of_vectors(field, vectors) -> int:
     """Rank of a list of equal-length vectors (empty list has rank 0)."""
     p = field.p  # the vectors come from callers, so reduce them mod p
     rows, _ = _ints(field, [[e % p for e in v] for v in vectors] if p else list(vectors))
-    return len(_echelon(rows, p))
+    return len(_reduce(rows, p))
 
 
 def kernel_basis(m: ExactMatrix) -> list[tuple]:
     """Basis of the right kernel, one vector per free column."""
-    rows = list(m._int_form()[0])
     p = m.field.p
-    pivots = _echelon(rows, p)
-    basis = {pc: _sparse(row) for row, pc in zip(rows, pivots)}
+    basis = _reduce(m._int_form()[0], p)
     return [_vector(v, d, p) for v, d in _kernel(basis, m.cols, p)]
 
 
@@ -454,12 +426,13 @@ def solve(m: ExactMatrix, rhs) -> tuple | None:
     if len(b) != m.rows:
         raise SizeMismatch("right-hand side length differs from row count")
     aug, _ = _ints(f, [r + (bi,) for r, bi in zip(m.entries, b)])
-    pivots = _echelon(aug, f.p)
-    if m.cols in pivots:
+    basis = _reduce(aug, f.p)
+    if m.cols in basis:
         return None
+    _back_reduce(basis, f.p)
     x = [f.zero()] * m.cols
-    for row, pc in zip(aug, pivots):
-        x[pc] = _quotient(row[m.cols], row[pc], f.p)
+    for pc, row in basis.items():
+        x[pc] = _quotient(row.get(m.cols, 0), row[pc], f.p)
     return tuple(x)
 
 
@@ -483,8 +456,8 @@ def jordan_matrix(field, lam: Partition) -> ExactMatrix:
 
 
 def _powers(x: ExactMatrix):
-    """The Jordan type of x, from the ranks of its powers, and the reduced
-    rows of x, x^2, ... up to the last nonzero power, each as sparse rows
+    """The Jordan type of x, from the ranks of its powers, and the echelon
+    bases of x, x^2, ... up to the last nonzero power, each as sparse rows
     ``{pivot: row}``; all on the integer matrix of x.  Raises NotNilpotent."""
     if not x.is_square():
         raise NotSquare("nilpotency is defined for square matrices")
@@ -492,15 +465,14 @@ def _powers(x: ExactMatrix):
     a, _ = x._int_form()
     echelons, power, ranks = [], a, [x.rows]
     while True:
-        rows = list(power)
-        pivots = _echelon(rows, p)
-        if not pivots:
+        basis = _reduce(power, p)
+        if not basis:
             break
         # rank(x^k) = rank(x^(k-1)) > 0 stays so for every higher power
-        if len(pivots) == ranks[-1]:
+        if len(basis) == ranks[-1]:
             raise NotNilpotent("matrix is not nilpotent")
-        echelons.append({pc: _sparse(row) for row, pc in zip(rows, pivots)})
-        ranks.append(len(pivots))
+        echelons.append(basis)
+        ranks.append(len(basis))
         power = _imul(power, a, p)
     ranks.append(0)
     return Partition(tuple(r - s for r, s in zip(ranks, ranks[1:]))).transpose(), echelons
@@ -564,9 +536,8 @@ def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
     """Basis of {Y : XY = YX} via the kernel of the commutator map.
 
     The commutator system has n^2 rows with at most 2n entries each, so it
-    is reduced sparse, one row at a time, then back-reduced; the reduced
-    row echelon form is unique, so the basis is the one a dense
-    elimination reads off.
+    is reduced sparse, one row at a time, as it is built; ``_kernel`` then
+    reads the basis off the unique reduced row echelon form.
     """
     if not x.is_square():
         raise NotSquare("centralizer of a non-square matrix")
@@ -589,7 +560,6 @@ def centralizer_basis(x: ExactMatrix) -> list[ExactMatrix]:
                     else:
                         del row[c]
             _extend(basis, row, p)
-    _back_reduce(basis, p)
     starts = range(0, n * n, n)  # of the rows of Y, flattened row by row
     out = []
     for v, d in _kernel(basis, n * n, p):

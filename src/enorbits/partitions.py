@@ -168,7 +168,7 @@ class Bipartition:
         return f"{self.first}|{self.second}"
 
 
-_ENH_RE = re.compile(r"^\s*([0-9,\s]+)\[\s*(\d+)\s*\]\s*$")
+_ENH_RE = re.compile(r"^\s*([0-9,\s]+)\[\s*([0-9]+)\s*\]\s*$")
 
 
 def parse_enhanced(text: str) -> EnhancedPartition:
@@ -308,9 +308,6 @@ class OrbitPoset:
 
     def is_leq(self, lower_lq: EnhancedPartition, upper_lq: EnhancedPartition) -> bool:
         return bool(self.down[self.index[upper_lq]] >> self.index[lower_lq] & 1)
-
-    def covered_by(self, upper_lq: EnhancedPartition) -> list[EnhancedPartition]:
-        return [lo for up, lo in self.covers if up == upper_lq]
 
 
 def build_poset(n: int) -> OrbitPoset:

@@ -45,6 +45,26 @@ def _mat_pow_zero(a, p, n):
     return all(e == 0 for row in acc for e in row)
 
 
+def _generator_pairs(n, p):
+    """(g, g^-1) for the transvections I + E_ij and, for p > 2, a diagonal
+    diag(gamma, 1, ..., 1) with gamma a primitive root, in closed form."""
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def with_entries(entries):
+        g = [row[:] for row in ident]
+        for (i, j), e in entries.items():
+            g[i][j] = e % p
+        return tuple(map(tuple, g))
+
+    pairs = [(with_entries({(i, j): 1}), with_entries({(i, j): -1}))
+             for i in range(n) for j in range(n) if i != j]
+    if p > 2:
+        gamma = next(g for g in range(2, p)
+                     if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
+        pairs.append((with_entries({(0, 0): gamma}), with_entries({(0, 0): pow(gamma, -1, p)})))
+    return pairs
+
+
 class _DisjointSet:
     def __init__(self):
         self.parent = {}
@@ -75,7 +95,7 @@ def _reference_census(n, p):
         if _mat_pow_zero(x, p, n):
             nilpotents.append(x)
     vectors = list(itertools.product(range(p), repeat=n))
-    gens = census._group_generators(n, p)
+    gens = _generator_pairs(n, p)
     gw_table = [{w: _matvec(g, w, p) for w in vectors} for g, _ in gens]
     dsu = _DisjointSet()
     for x in nilpotents:

@@ -228,6 +228,8 @@ class TestClosureAndFlag:
 
     def test_flag_bad_label(self, runner):
         assert runner.invoke(main, ["flag", "2,2[1]"]).exit_code == 2
+        # an Arabic-Indic one is a Unicode digit, not an ASCII marker
+        assert runner.invoke(main, ["flag", "2,1[\u0661]"]).exit_code == 2
 
 
 class TestGl2:

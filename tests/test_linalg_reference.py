@@ -1,15 +1,18 @@
 """The sparse incremental solves against the dense eliminations they replaced.
 
-The references below are the dense routes: the whole commutator system
-reduced by ``_echelon`` and its kernel read off row by row, each candidate
-generator tested by ``rank_of_vectors`` on the whole pool, and Y . w taken
-by ``ExactMatrix.apply``.  ``centralizer_basis``, ``jordan_basis``, both
+The references below are the dense routes, independent of the library's
+reducer: ``_echelon`` is the dense fraction-free elimination the library
+used before, kept here as it was.  The whole commutator system is reduced
+by it and its kernel read off row by row, each candidate generator is
+tested by its rank on the whole pool, and Y . w is taken by
+``ExactMatrix.apply``.  ``centralizer_basis``, ``jordan_basis``, both
 classifiers and ``enhanced_centralizer_dim`` must give exactly what they
 give, entry for entry, on random conjugates over Q, F_2, F_3 and F_5.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,13 +25,56 @@ from enorbits.linalg import (
     enhanced_centralizer_dim,
     jordan_basis,
     jordan_matrix,
-    rank_of_vectors,
 )
 from enorbits.orbits import EnhancedElement, classify, classify_invariant
 from enorbits.partitions import EnhancedPartition, Partition, partitions_of
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 MAX_N = 6
+
+
+def _echelon(rows, p):
+    """Reduce integer rows in place; returns the pivot columns.
+
+    Over F_p (p > 0) the entries are ints mod p and every pivot is scaled
+    to 1, giving the reduced row echelon form.  Over Q (p = 0) elimination
+    is fraction-free, and row r ends as its pivot entry times row r of the
+    reduced row echelon form.
+    """
+    pivots = []
+    nrows = len(rows)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        a = top[c]
+        if p:
+            inv = pow(a, p - 2, p)
+            top = rows[r] = [e * inv % p for e in top]
+        for i in range(nrows):
+            b = rows[i][c]
+            if not b or i == r:
+                continue
+            if p:
+                rows[i] = [(e - b * t) % p for e, t in zip(rows[i], top)]
+            else:
+                g = gcd(a, b)
+                s, t = a // g, b // g
+                row = [s * e - t * u for e, u in zip(rows[i], top)]
+                k = gcd(*row)
+                rows[i] = [e // k for e in row] if k > 1 else row
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def dense_rank(f, vectors):
+    """Rank of field vectors by ``_echelon``."""
+    rows, _ = linalg._ints(f, list(vectors))
+    return len(_echelon(rows, f.p))
 
 
 def dense_kernel(rows, pivots, ncols, p):
@@ -47,7 +93,7 @@ def dense_kernel(rows, pivots, ncols, p):
 
 def dense_kernel_of(m):
     rows, _ = linalg._ints(m.field, m.entries)
-    return dense_kernel(rows, linalg._echelon(rows, m.field.p), m.cols, m.field.p)
+    return dense_kernel(rows, _echelon(rows, m.field.p), m.cols, m.field.p)
 
 
 def reference_centralizer(x):
@@ -62,7 +108,7 @@ def reference_centralizer(x):
             for l in range(n):
                 row[i * n + l] -= a[l][j]
             rows.append([e % f.p for e in row] if f.p else row)
-    kernel = dense_kernel(rows, linalg._echelon(rows, f.p), n * n, f.p)
+    kernel = dense_kernel(rows, _echelon(rows, f.p), n * n, f.p)
     return [ExactMatrix(f, [v[i * n:(i + 1) * n] for i in range(n)]) for v in kernel]
 
 
@@ -79,9 +125,9 @@ def reference_jordan(x):
         for chain in chains:
             if len(chain) >= size:
                 pool.append(chain[len(chain) - size])
-        current = rank_of_vectors(f, pool)
+        current = dense_rank(f, pool)
         for cand in kernels[size]:
-            if rank_of_vectors(f, pool + [cand]) > current:
+            if dense_rank(f, pool + [cand]) > current:
                 pool.append(cand)
                 current += 1
                 chain = [cand]
@@ -97,7 +143,7 @@ def reference_jordan(x):
 def reference_enhanced_dims(x, w):
     """(dim g_X + n, rank of im X + g_X . w), with Y . w by ``apply``."""
     cols = [c.apply(w) for c in reference_centralizer(x)] + x.columns()
-    return len(cols), rank_of_vectors(x.field, cols)
+    return len(cols), dense_rank(x.field, cols)
 
 
 def random_element(rng, f, lam):

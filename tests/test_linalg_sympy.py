@@ -4,7 +4,8 @@ Matrices have at most 5 rows and columns.  Rational entries mix small
 integers, small fractions and fractions with denominators near 10^30;
 products A B of random factors make rank-deficient matrices common.
 Nilpotent matrices are conjugates g J g^-1 of Jordan matrices, with g
-drawn from the same entries.
+drawn from the same entries.  Over F_p, for p in {2, 3, 5, 7}, entries are
+drawn from [0, p).
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enorbits.errors import NotInvertible
 from enorbits.linalg import (
     GF,
     QQ,
@@ -23,6 +25,7 @@ from enorbits.linalg import (
     jordan_type,
     kernel_basis,
     rank,
+    solve,
 )
 from enorbits.partitions import partitions_of
 
@@ -48,9 +51,10 @@ def product(a, b):
 
 
 @st.composite
-def matrices(draw, entries=RATIONALS):
+def matrices(draw, entries=RATIONALS, square=False):
     """An r x c matrix A B with A r x k and B k x c, k <= min(r, c)."""
-    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(1, 5))
+    c = r if square else draw(st.integers(1, 5))
     k = draw(st.integers(1, min(r, c)))
     a = [[draw(entries) for _ in range(k)] for _ in range(r)]
     b = [[draw(entries) for _ in range(c)] for _ in range(k)]
@@ -173,3 +177,83 @@ def test_jordan_basis_conjugates_to_jordan_matrix(case):
     g = to_sympy(jd.change_of_basis.entries)
     assert jd.lam == lam
     assert g.inv() * x * g == to_sympy(jordan_matrix(QQ, lam).entries)
+
+
+PRIMES = (2, 3, 5, 7)
+FIELD_PRIMES = st.one_of(st.just(0), st.sampled_from(PRIMES))  # 0 stands for Q, half the time
+ENTRIES = {0: RATIONALS, **{p: st.integers(0, p - 1) for p in PRIMES}}
+# strategies are made once: building one per example costs more than the test
+MATRICES = {(p, square): matrices(e, square) for p, e in ENTRIES.items() for square in (False, True)}
+# drawing the matrices dominates the tests below; 50 examples keep each
+# near a quarter of a second
+MIXED = settings(SETTINGS, max_examples=50)
+
+
+def field_matrix(draw, p, square=False):
+    """A drawn ``matrices`` example over Q (p = 0) or F_p, entries mod p."""
+    m = draw(MATRICES[p, square])
+    return [[int(e) % p for e in row] for row in m] if p else m
+
+
+def field_of(p):
+    return GF(p) if p else QQ
+
+
+def is_zero(e, p):
+    return e % p == 0 if p else e == 0
+
+
+def sympy_matrix(rows, p):
+    """rows over sympy's QQ (p = 0) or GF(p)."""
+    if p:
+        return DomainMatrix.from_list(rows, ZZ).convert_to(SympyGF(p))
+    return domain_matrix(rows, len(rows[0]))
+
+
+@MIXED
+@given(FIELD_PRIMES, st.booleans(), st.data())
+def test_solve_matches_sympy(p, consistent, data):
+    m = field_matrix(data.draw, p)
+    entries = ENTRIES[p]
+    if consistent:
+        x0 = [[data.draw(entries)] for _ in m[0]]
+        b = [int(row[0]) % p if p else row[0] for row in product(m, x0)]
+    else:  # a free right-hand side, inconsistent whenever rank m < rows
+        b = [data.draw(entries) for _ in m]
+    x = solve(ExactMatrix(field_of(p), m), b)
+    aug = [row + [bi] for row, bi in zip(m, b)]
+    solvable = sympy_matrix(aug, p).rank() == sympy_matrix(m, p).rank()
+    assert (x is not None) == solvable
+    if consistent:
+        assert solvable
+    if x is not None:
+        assert all(is_zero(sum(a * y for a, y in zip(row, x)) - bi, p) for row, bi in zip(m, b))
+
+
+@MIXED
+@given(FIELD_PRIMES, st.data())
+def test_inverse_matches_sympy(p, data):
+    m = field_matrix(data.draw, p, square=True)
+    n = len(m)
+    a = ExactMatrix(field_of(p), m)
+    if sympy_matrix(m, p).rank() < n:
+        with pytest.raises(NotInvertible):
+            a.inverse()
+        return
+    eye = product(m, a.inverse().entries)
+    assert all(is_zero(eye[i][j] - (i == j), p) for i in range(n) for j in range(n))
+
+
+@MIXED
+@given(st.sampled_from(PRIMES), st.data())
+def test_prime_field_kernel_matches_sympy(p, data):
+    m = field_matrix(data.draw, p)
+    basis = kernel_basis(ExactMatrix(GF(p), m))
+    null = sympy_matrix(m, p).nullspace()
+    assert null.shape[0] == len(basis)
+    for v in basis:
+        assert all(is_zero(sum(a * y for a, y in zip(row, v)), p) for row in m)
+    if basis:
+        ours = sympy_matrix([list(v) for v in basis], p)
+        assert ours.rank() == len(basis)
+        assert ours.vstack(null).rank() == len(basis)
